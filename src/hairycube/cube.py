@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .core import ELEMENTS, Element, H, TritTable
-from .homsets import assemble, clone_closure, slice_first
+from .homsets import CapExceededError, assemble, clone_closure, slice_first
 from .posets import FiniteLattice, FinitePoset
 
 
@@ -91,16 +91,26 @@ def polynomial_form(table: TritTable, n: int) -> tuple[tuple[int, ...], bool]:
     return eta(n, table.meet_h()), meet_h
 
 
+# 2^7 base vertices plus their hairs: 256 elements, and 3.1 MB as JSON.
+# Each step up makes the rendered output about six times larger.
+MAX_CUBE_DIMENSION = 7
+
+
 @lru_cache(maxsize=None)
 def hairy_cube_recursive(n: int) -> FinitePoset:
     """The join-irreducible poset built by the two slice constructors.
 
     Dimension 1 is the explicit four-element base case; dimension n glues,
     for each join-irreducible psi one arity down, the tables
-    (0, psi^h, psi) and (psi, psi, psi^h).
+    (0, psi^h, psi) and (psi, psi, psi^h).  Dimensions above
+    MAX_CUBE_DIMENSION raise CapExceededError.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if n > MAX_CUBE_DIMENSION:
+        raise CapExceededError(
+            f"hairy cube requested at dimension {n} exceeds the cap {MAX_CUBE_DIMENSION}"
+        )
     if n == 1:
         tables = [TritTable.from_string(s) for s in ("0hh", "hhh", "0h1", "11h")]
     else:

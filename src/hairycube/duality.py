@@ -21,6 +21,8 @@ from .core import (
     TritTable,
     ZERO,
     all_tuples,
+    join,
+    meet,
 )
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import (
@@ -93,14 +95,17 @@ def lambda_op(i: int) -> PartialOp:
         raise ValueError(f"lambda index must be 1 or 2, got {i}") from None
 
 
-def _projection_op(i: int) -> PartialOp:
-    return PartialOp.from_graph(
-        f"pi{i}", FULL, ((a, b, (a, b)[i - 1]) for a, b in FULL.pairs())
-    )
+def _total_op(name: str, fn) -> PartialOp:
+    return PartialOp.from_graph(name, FULL, ((a, b, fn(a, b)) for a, b in FULL.pairs()))
 
 
-PI1 = _projection_op(1)
-PI2 = _projection_op(2)
+PI1 = _total_op("pi1", lambda a, b: a)
+PI2 = _total_op("pi2", lambda a, b: b)
+MEET = _total_op("meet", meet)
+JOIN = _total_op("join", join)
+# The constant c, as the relation whose only pair is (c, c): a map preserves
+# it on a carrier exactly when it sends the constant tuple (c, ..., c) to c.
+_CONSTANTS = tuple(BinaryRelation.from_pairs([(c, c)]) for c in ELEMENTS)
 
 
 @dataclass(frozen=True)
@@ -160,57 +165,13 @@ def homs_for_variant(n: int, variant_name: str, carrier_cap: int = 12) -> HomSet
 
 def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[tuple[Element, ...], ...]:
     """All maps from a subalgebra carrier to S preserving componentwise meet
-    and join and fixing the constants.  Exhaustive depth-first search."""
-    carrier = tuple(sorted(set(tuple(p) for p in carrier)))
-    if not carrier:
-        raise ValueError("carrier must be nonempty")
-    k = len(carrier[0])
-    index = {p: i for i, p in enumerate(carrier)}
-    m = len(carrier)
-
-    fixed: dict[int, Element] = {}
-    for c in ELEMENTS:
-        diag = (c,) * k
-        if diag not in index:
-            raise ValueError("carrier does not contain the constant tuples")
-        fixed[index[diag]] = c
-
-    equations: list[list[tuple]] = [[] for _ in range(m)]
-    for i, u in enumerate(carrier):
-        for j, v in enumerate(carrier):
-            w_meet = tuple(map(min, u, v))
-            w_join = tuple(map(max, u, v))
-            if w_meet not in index or w_join not in index:
-                raise ValueError("carrier is not closed under meet and join")
-            km = index[w_meet]
-            kj = index[w_join]
-            equations[max(i, j, km)].append(("m", i, j, km))
-            equations[max(i, j, kj)].append(("j", i, j, kj))
-
-    assign: list[Element] = [ZERO] * m
-    out: list[tuple[Element, ...]] = []
-
-    def ok(t: int) -> bool:
-        if t in fixed and assign[t] != fixed[t]:
-            return False
-        for tag, i, j, kk in equations[t]:
-            a, b = assign[i], assign[j]
-            want = a if ((a <= b) == (tag == "m")) else b
-            if assign[kk] != want:
-                return False
-        return True
-
-    def rec(t: int) -> None:
-        if t == m:
-            out.append(tuple(assign))
-            return
-        for v in ELEMENTS:
-            assign[t] = v
-            if ok(t):
-                rec(t + 1)
-
-    rec(0)
-    return tuple(out)
+    and join and fixing the constants: the hom-set of the carrier with meet
+    and join as total operations and the constants as relations."""
+    space = StructuredSpace.from_points(carrier, _CONSTANTS, (MEET, JOIN))
+    if any((c,) * space.arity not in space.carrier for c in ELEMENTS):
+        raise ValueError("carrier does not contain the constant tuples")
+    # No carrier cap here: every caller bounds the arity of the carrier.
+    return enumerate_homs_bruteforce(space, carrier_cap=space.size).maps
 
 
 def total_homs(n: int) -> tuple[TritTable, ...]:
@@ -367,22 +328,11 @@ class EntailmentReport:
 
 
 def _lambda1_closed_subsets(n: int):
-    tuples = all_tuples(n)
-
-    for mask in range(1, 1 << len(tuples)):
-        subset = [t for i, t in enumerate(tuples) if mask >> i & 1]
-        closed = True
-        for u in subset:
-            for v in subset:
-                if all(LAMBDA1.defined(a, b) for a, b in zip(u, v)):
-                    w = tuple(LAMBDA1(a, b) for a, b in zip(u, v))
-                    if w not in set(subset):
-                        closed = False
-                        break
-            if not closed:
-                break
-        if closed:
-            yield tuple(subset)
+    power = StructuredSpace.power(n, (), (LAMBDA1,))
+    triples = power.op_triples(LAMBDA1)
+    for mask in range(1, 1 << power.size):
+        if all(mask >> k & 1 for i, j, k in triples if mask >> i & mask >> j & 1):
+            yield tuple(p for i, p in enumerate(power.carrier) if mask >> i & 1)
 
 
 def entailment_lambda1(max_power: int = 2, carrier_cap: int = 12) -> EntailmentReport:

@@ -5,11 +5,18 @@ purpose: `enumerate_homs_bruteforce` searches all assignments carrier -> S
 against the relational (and partial-operation) constraints, while
 `clone_closure` generates term tables from projections and constants.
 Tests compare the two.
+
+There is one constraint engine.  A `StructuredSpace` works out once which
+carrier indices each of its relations and operations constrains
+(`related_pairs`, `op_triples`); the search, `preserves_relation`,
+`preserves_partial_op`, the carrier's closure check and the algebra homs
+of `duality.algebra_homs` (meet and join as total operations, constants as
+singleton relations) all read those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -46,12 +53,19 @@ class StructuredSpace:
     Relations and partial operations are interpreted componentwise.  When a
     partial operation is listed, the carrier must be closed under it
     wherever the componentwise domain condition holds.
+
+    `related_pairs` and `op_triples` are the one place that decides which
+    carrier indices a relation or an operation constrains; the search, the
+    `preserves_*` checks and the closure check all read them.
     """
 
     arity: int
     carrier: tuple[tuple[Element, ...], ...]
     relations: tuple[BinaryRelation, ...] = ()
     partial_ops: tuple[PartialOp, ...] = ()
+    _index: dict = field(init=False, repr=False, compare=False)
+    # relation -> its related_pairs, operation -> its op_triples
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.carrier:
@@ -61,26 +75,38 @@ class StructuredSpace:
         for point in self.carrier:
             if len(point) != self.arity:
                 raise ValueError(f"point {point} does not have width {self.arity}")
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.carrier)})
+        object.__setattr__(self, "_memo", {})
         for op in self.partial_ops:
-            for u in self.carrier:
-                for v in self.carrier:
-                    if all(op.defined(a, b) for a, b in zip(u, v)):
-                        w = tuple(op(a, b) for a, b in zip(u, v))
-                        if w not in self._point_set():
-                            raise ValueError(
-                                f"carrier is not closed under {op.name} at {u}, {v}"
-                            )
-
-    @lru_cache(maxsize=None)
-    def _point_set(self) -> frozenset[tuple[Element, ...]]:
-        return frozenset(self.carrier)
-
-    @lru_cache(maxsize=None)
-    def _point_index(self):
-        return {p: i for i, p in enumerate(self.carrier)}
+            for i, j, k in self.op_triples(op):
+                if k is None:
+                    u, v = self.carrier[i], self.carrier[j]
+                    raise ValueError(f"carrier is not closed under {op.name} at {u}, {v}")
 
     def index(self, point: tuple[Element, ...]) -> int:
-        return self._point_index()[point]
+        return self._index[point]
+
+    def related_pairs(self, rel: BinaryRelation) -> tuple[tuple[int, int], ...]:
+        """Index pairs (i, j) whose points are componentwise rel-related."""
+        if rel not in self._memo:
+            self._memo[rel] = tuple(
+                (i, j)
+                for i, u in enumerate(self.carrier)
+                for j, v in enumerate(self.carrier)
+                if all(map(rel.contains, u, v))
+            )
+        return self._memo[rel]
+
+    def op_triples(self, op: PartialOp) -> tuple[tuple[int, int, int | None], ...]:
+        """(i, j, k) for each index pair in op's componentwise domain, where
+        k indexes the componentwise result, or is None when it leaves the
+        carrier."""
+        if op not in self._memo:
+            self._memo[op] = tuple(
+                (i, j, self._index.get(tuple(map(op, self.carrier[i], self.carrier[j]))))
+                for i, j in self.related_pairs(op.domain)
+            )
+        return self._memo[op]
 
     @property
     def size(self) -> int:
@@ -130,12 +156,7 @@ def _as_assignment(f: MapLike, space: StructuredSpace) -> tuple[Element, ...]:
 def preserves_relation(f: MapLike, rel: BinaryRelation, space: StructuredSpace) -> bool:
     """Does f carry componentwise rel-related carrier points to rel-related values?"""
     values = _as_assignment(f, space)
-    for i, u in enumerate(space.carrier):
-        for j, v in enumerate(space.carrier):
-            if all(rel.contains(a, b) for a, b in zip(u, v)):
-                if not rel.contains(values[i], values[j]):
-                    return False
-    return True
+    return all(rel.contains(values[i], values[j]) for i, j in space.related_pairs(rel))
 
 
 def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> bool:
@@ -145,19 +166,12 @@ def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> b
     to lie in the domain, and the values to agree.
     """
     values = _as_assignment(f, space)
-    points = space._point_set()
-    for i, u in enumerate(space.carrier):
-        for j, v in enumerate(space.carrier):
-            if not all(op.defined(a, b) for a, b in zip(u, v)):
-                continue
-            w = tuple(op(a, b) for a, b in zip(u, v))
-            if w not in points:
-                return False
-            if not op.defined(values[i], values[j]):
-                return False
-            if op(values[i], values[j]) != values[space.index(w)]:
-                return False
-    return True
+    return all(
+        k is not None
+        and op.defined(values[i], values[j])
+        and op(values[i], values[j]) == values[k]
+        for i, j, k in space.op_triples(op)
+    )
 
 
 @dataclass(frozen=True)
@@ -194,21 +208,13 @@ class HomSet:
 
 def _compile_checks(space: StructuredSpace):
     """Constraint tuples grouped by the largest carrier index they mention."""
-    m = space.size
-    checks: list[list[tuple]] = [[] for _ in range(m)]
+    checks: list[list[tuple]] = [[] for _ in range(space.size)]
     for rel in space.relations:
-        for i, u in enumerate(space.carrier):
-            for j, v in enumerate(space.carrier):
-                if all(rel.contains(a, b) for a, b in zip(u, v)):
-                    checks[max(i, j)].append(("r", i, j, rel.mask))
+        for i, j in space.related_pairs(rel):
+            checks[max(i, j)].append(("r", i, j, rel.mask))
     for op in space.partial_ops:
-        dom = op.domain
-        for i, u in enumerate(space.carrier):
-            for j, v in enumerate(space.carrier):
-                if all(dom.contains(a, b) for a, b in zip(u, v)):
-                    w = tuple(op(a, b) for a, b in zip(u, v))
-                    k = space.index(w)
-                    checks[max(i, j, k)].append(("p", i, j, k, dom.mask, op.values))
+        for i, j, k in space.op_triples(op):
+            checks[max(i, j, k)].append(("p", i, j, k, op.domain.mask, op.values))
     return checks
 
 

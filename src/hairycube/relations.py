@@ -298,27 +298,18 @@ def subuniverses_of_carrier() -> tuple[frozenset[Element], ...]:
 
 
 def irreducibility_index() -> int:
-    """Largest, over subalgebras of S, least n with the diagonal congruence a
-    meet of n meet-irreducible congruences."""
-    worst = 0
-    for _carrier in subuniverses_of_carrier():
-        # Every subuniverse of S is S, so its congruences are Con(S).
-        mis = meet_irreducible_congruences()
-        best = None
-        for size in range(1, len(mis) + 1):
-            for combo in combinations(mis, size):
-                m = _FULL_MASK
-                for c in combo:
-                    m &= c.mask
-                if m == DIAGONAL.mask:
-                    best = size
-                    break
-            if best is not None:
-                break
-        if best is None:
-            raise RuntimeError("diagonal is not a meet of meet-irreducibles")
-        worst = max(worst, best)
-    return worst
+    """Least n with the diagonal congruence of S a meet of n meet-irreducible
+    congruences.  Every subalgebra of S is S itself (`subuniverses_of_carrier`),
+    so this is also the largest such n over the subalgebras of S."""
+    mis = meet_irreducible_congruences()
+    for size in range(1, len(mis) + 1):
+        for combo in combinations(mis, size):
+            m = _FULL_MASK
+            for c in combo:
+                m &= c.mask
+            if m == DIAGONAL.mask:
+                return size
+    raise RuntimeError("diagonal is not a meet of meet-irreducibles")
 
 
 @dataclass(frozen=True)

@@ -400,21 +400,12 @@ def _relabeled_cube(n: int) -> PartiallyStoneSpaceFinite:
     names = [f"v{i}" for i in range(cube.n)]
     perm = names[::-1]
     relabel = dict(zip(cube.elements, perm))
+    unlabel = dict(zip(perm, cube.elements))
     poset = FinitePoset.from_leq(
-        sorted(perm),
-        lambda x, y: cube.leq(
-            _inverse_lookup(relabel, x), _inverse_lookup(relabel, y)
-        ),
+        sorted(perm), lambda x, y: cube.leq(unlabel[x], unlabel[y])
     )
     base = frozenset(relabel[e] for e in cube.elements if e.is_base)
     return PartiallyStoneSpaceFinite.from_poset(poset, base)
-
-
-def _inverse_lookup(mapping: dict, value):
-    for k, v in mapping.items():
-        if v == value:
-            return k
-    raise KeyError(value)
 
 
 def suite_polynomials(n_max: int | None = None) -> SuiteReport:

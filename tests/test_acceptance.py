@@ -66,8 +66,6 @@ def _clear_caches() -> None:
     core.all_tuples.cache_clear()
     homsets._clone_entries.cache_clear()
     homsets.unary_morphisms.cache_clear()
-    StructuredSpace._point_set.cache_clear()
-    StructuredSpace._point_index.cache_clear()
     cube.hairy_cube_recursive.cache_clear()
     relations.enumerate_subalgebras.cache_clear()
     relations._canonical_names.cache_clear()

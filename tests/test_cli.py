@@ -100,6 +100,11 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_render_cube_dimension_cap_exit_code(capsys):
+    assert main(["render", "hairy-cube", "--n", "8"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_bad_env_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("HAIRYCUBE_CARRIER_CAP", "frogs")
     assert main(["homs"]) == 2

@@ -1,8 +1,10 @@
 """Partial operations, witnesses, entailment, evaluation, persistence."""
 
+from itertools import product
+
 import pytest
 
-from hairycube.core import ELEMENTS, H, ONE, TritTable, ZERO, all_tuples
+from hairycube.core import ELEMENTS, H, ONE, TritTable, ZERO, all_tuples, join, meet
 from hairycube.duality import (
     LAMBDA1,
     LAMBDA2,
@@ -118,6 +120,30 @@ def test_algebra_homs_input_validation():
     with pytest.raises(ValueError):
         # contains constants but meets escape: (0,1) ^ (h,h) = (0,h)
         algebra_homs(((ZERO, ZERO), (H, H), (ONE, ONE), (ZERO, ONE)))
+
+
+def _naive_algebra_homs(carrier):
+    """Every map carrier -> S, kept when it fixes the constant tuples and
+    commutes with componentwise meet and join; no index tables involved."""
+    kept = []
+    for values in product(ELEMENTS, repeat=len(carrier)):
+        f = dict(zip(carrier, values))
+        if all(f[(c,) * len(carrier[0])] == c for c in ELEMENTS) and all(
+            f[tuple(map(op, u, v))] == op(f[u], f[v])
+            for op in (meet, join)
+            for u in carrier
+            for v in carrier
+        ):
+            kept.append(values)
+    return tuple(kept)
+
+
+def test_algebra_homs_match_naive_filter():
+    # S, then the 13 subalgebras of S², the last of which is S² itself
+    carriers = [all_tuples(1)] + [r.pairs() for r in enumerate_subalgebras().elements]
+    assert len(carriers) == 14 and carriers[-1] == all_tuples(2)
+    for carrier in carriers:
+        assert algebra_homs(carrier) == _naive_algebra_homs(carrier)
 
 
 EXPECTED_HOM_COUNTS = {

@@ -3,11 +3,11 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hairycube.core import ELEMENTS, H, ONE, TritTable, ZERO, all_tuples
-from hairycube.duality import LAMBDA1
+from hairycube.duality import LAMBDA1, LAMBDA2, PI1, PI2
 from hairycube.homsets import (
     CapExceededError,
     StructuredSpace,
@@ -173,3 +173,54 @@ def test_clone_closed_under_operations():
         for b in tables[:10]:
             assert a.meet(b).entries in members
             assert a.join(b).entries in members
+
+
+def _naive_homs(space):
+    """Every map carrier -> S, kept when it preserves each relation and
+    partial operation as defined pointwise; no index tables involved."""
+    points = space.carrier
+    kept = []
+    for values in product(ELEMENTS, repeat=len(points)):
+        f = dict(zip(points, values))
+        ok = all(
+            rel.contains(f[u], f[v])
+            for rel in space.relations
+            for u in points
+            for v in points
+            if all(rel.contains(a, b) for a, b in zip(u, v))
+        ) and all(
+            op.defined(f[u], f[v])
+            and op(f[u], f[v]) == f[tuple(op(a, b) for a, b in zip(u, v))]
+            for op in space.partial_ops
+            for u in points
+            for v in points
+            if all(op.defined(a, b) for a, b in zip(u, v))
+        )
+        if ok:
+            kept.append(values)
+    return tuple(kept)
+
+
+def _subsets(items):
+    return st.lists(st.sampled_from(items), unique=True).map(tuple)
+
+
+small_carriers = st.sampled_from((1, 2)).flatmap(
+    lambda n: st.sets(st.sampled_from(all_tuples(n)), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_carriers, _subsets((R1, R2, R3)), _subsets((LAMBDA1, LAMBDA2, PI1, PI2)))
+def test_search_matches_naive_filter(points, relations, partial_ops):
+    try:
+        space = StructuredSpace.from_points(points, relations, partial_ops)
+    except ValueError:
+        return  # not closed under one of the partial operations
+    homs = enumerate_homs_bruteforce(space, carrier_cap=space.size)
+    assert homs.maps == _naive_homs(space)
+    for values in product(ELEMENTS, repeat=space.size):
+        assert (values in homs.maps) == (
+            all(preserves_relation(values, rel, space) for rel in relations)
+            and all(preserves_partial_op(values, op, space) for op in partial_ops)
+        )
