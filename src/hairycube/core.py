@@ -3,16 +3,19 @@
 The primary view is the bounded distributive chain 0 < h < 1 whose upper
 interval [h, 1] is a two-element Boolean algebra.  `bar` is the derived
 unary operation x |-> (x v h)' and `semiring_add` the derived addition
-pulled back along the embedding of S into 2 x Z_2.  Operation tables on
-powers of S are stored as flat entry tuples (`TritTable`).
+pulled back along the embedding of S into 2 x Z_2.  An operation table on
+a power of S (`TritTable`) is stored as two bit planes over its canonical
+argument positions, so pointwise meet, join, bar and order are integer
+operations; the `tuple_*` helpers do the same on plain entry tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
+from operator import add
 from typing import Callable
 
 
@@ -113,24 +116,54 @@ def tuple_index(args: tuple[Element, ...]) -> int:
     return idx
 
 
-@dataclass(frozen=True, order=True)
+# Byte translations between entry codes 0, 1, 2 and the two bit planes.
+_GE_H_BIT = bytes.maketrans(b"\0\1\2", b"011")
+_GE_1_BIT = bytes.maketrans(b"\0\1\2", b"001")
+_BIT_SUM = bytes.maketrans(b"`ab", b"\0\1\2")  # ord("0") + ord("0") == ord("`")
+_CHARS = bytes.maketrans(b"\0\1\2", b"0h1")
+
+
+@total_ordering
+@dataclass(frozen=True, init=False, slots=True)
 class TritTable:
-    """Total map S^arity -> S as 3^arity entries in canonical tuple order."""
+    """Total map S^arity -> S as two bit planes over the 3^arity canonical
+    argument positions: bit i of `ge_h` is set when entry i is h or 1, bit i
+    of `ge_1` when it is 1.  `entries` and `str()` are memoised views; order
+    is lexicographic on (arity, entries)."""
 
     arity: int
-    entries: tuple[Element, ...]
+    ge_h: int
+    ge_1: int
+    _entries: tuple[Element, ...] | None = field(compare=False, repr=False)
+    _text: str | None = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
+    def __init__(self, arity: int, entries: tuple[Element, ...]) -> None:
+        if arity < 0:
             raise ValueError("arity must be nonnegative")
-        if len(self.entries) != 3 ** self.arity:
+        entries = tuple(entries)
+        if len(entries) != 3 ** arity:
             raise ValueError(
-                f"arity {self.arity} needs {3 ** self.arity} entries, got {len(self.entries)}"
+                f"arity {arity} needs {3 ** arity} entries, got {len(entries)}"
             )
+        bits = bytes(entries)[::-1]  # entry 0 becomes the lowest bit
+        ge_h, ge_1 = int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
+        self._fill(arity, ge_h, ge_1, entries, None)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(("arity", "ge_h", "ge_1", "_entries", "_text"), values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_planes(cls, arity: int, ge_h: int, ge_1: int) -> "TritTable":
+        """The table with these planes; ge_1 must lie inside ge_h."""
+        table = object.__new__(cls)
+        table._fill(arity, ge_h, ge_1, None, None)
+        return table
 
     @classmethod
     def constant(cls, arity: int, value: Element) -> "TritTable":
-        return cls(arity, (value,) * (3 ** arity))
+        full = (1 << 3 ** arity) - 1
+        return cls.from_planes(arity, full if value >= H else 0, full if value == ONE else 0)
 
     @classmethod
     def projection(cls, arity: int, i: int) -> "TritTable":
@@ -151,31 +184,60 @@ class TritTable:
             arity += 1
         return cls(arity, entries)
 
+    def _codes(self) -> bytes:
+        """One byte per entry: its code 0, 1 or 2, in canonical order."""
+        width = 3 ** self.arity
+        h, o = (format(p, f"0{width}b")[::-1].encode() for p in (self.ge_h, self.ge_1))
+        return bytes(map(add, h, o)).translate(_BIT_SUM)
+
+    @property
+    def entries(self) -> tuple[Element, ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(map(ELEMENTS.__getitem__, self._codes())))
+        return self._entries
+
+    def __str__(self) -> str:
+        if self._text is None:
+            object.__setattr__(self, "_text", self._codes().translate(_CHARS).decode("ascii"))
+        return self._text
+
+    def __repr__(self) -> str:
+        return f"TritTable.from_string({str(self)!r})"
+
+    def __lt__(self, other: "TritTable") -> bool:
+        if not isinstance(other, TritTable):
+            return NotImplemented
+        if self.arity != other.arity:
+            return self.arity < other.arity
+        diff = (self.ge_h ^ other.ge_h) | (self.ge_1 ^ other.ge_1)
+        # The first differing entry is the lowest differing bit; other's
+        # entry there is the larger one when it sets a bit that self lacks.
+        return bool(diff & -diff & (other.ge_h & ~self.ge_h | other.ge_1 & ~self.ge_1))
+
     def __call__(self, *args: Element) -> Element:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.entries[tuple_index(args)]
-
-    def __str__(self) -> str:
-        return "".join(str(e) for e in self.entries)
+        i = tuple_index(args)
+        return ELEMENTS[(self.ge_h >> i & 1) + (self.ge_1 >> i & 1)]
 
     def meet(self, other: "TritTable") -> "TritTable":
         self._same_arity(other)
-        return TritTable(self.arity, tuple_meet(self.entries, other.entries))
+        return TritTable.from_planes(self.arity, self.ge_h & other.ge_h, self.ge_1 & other.ge_1)
 
     def join(self, other: "TritTable") -> "TritTable":
         self._same_arity(other)
-        return TritTable(self.arity, tuple_join(self.entries, other.entries))
+        return TritTable.from_planes(self.arity, self.ge_h | other.ge_h, self.ge_1 | other.ge_1)
 
     def bar(self) -> "TritTable":
-        return TritTable(self.arity, tuple_bar(self.entries))
+        full = (1 << 3 ** self.arity) - 1
+        return TritTable.from_planes(self.arity, full, full & ~self.ge_1)
 
     def meet_h(self) -> "TritTable":
-        return self.meet(TritTable.constant(self.arity, H))
+        return TritTable.from_planes(self.arity, self.ge_h, 0)
 
     def leq(self, other: "TritTable") -> bool:
         self._same_arity(other)
-        return tuple_leq(self.entries, other.entries)
+        return not (self.ge_h & ~other.ge_h or self.ge_1 & ~other.ge_1)
 
     def _same_arity(self, other: "TritTable") -> None:
         if self.arity != other.arity:

@@ -25,10 +25,7 @@ from .core import (
     Element,
     TritTable,
     all_tuples,
-    tuple_index,
-    tuple_join,
-    tuple_meet,
-    tuple_bar,
+    tuple_leq,
     ZERO,
 )
 from .posets import FiniteLattice
@@ -199,11 +196,7 @@ class HomSet:
         return tuple(TritTable(self.source.arity, m) for m in self.maps)
 
     def lattice(self) -> FiniteLattice:
-        return FiniteLattice.from_leq(
-            self.maps,
-            lambda x, y: all(a <= b for a, b in zip(x, y)),
-            validate=False,
-        )
+        return FiniteLattice.from_leq(self.maps, tuple_leq, validate=False)
 
 
 def _compile_checks(space: StructuredSpace):
@@ -271,28 +264,26 @@ def enumerate_homs_bruteforce(
 
 @lru_cache(maxsize=None)
 def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
-    gens = [TritTable.projection(n, i).entries for i in range(1, n + 1)]
-    gens += [TritTable.constant(n, c).entries for c in ELEMENTS]
-    seen = set()
-    elems: list[tuple[Element, ...]] = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            elems.append(g)
+    """The clone's tables, closed as (ge_h, ge_1) plane pairs and read out
+    as entry tuples once, sorted."""
+    full = (1 << 3 ** n) - 1
+    gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
+    gens += [TritTable.constant(n, c) for c in ELEMENTS]
+    elems = list(dict.fromkeys((g.ge_h, g.ge_1) for g in gens))
+    seen = set(elems)
     i = 0
     while i < len(elems):
-        a = elems[i]
-        fresh = [tuple_bar(a)]
-        for j in range(i + 1):
-            b = elems[j]
-            fresh.append(tuple_meet(a, b))
-            fresh.append(tuple_join(a, b))
+        a_h, a_1 = elems[i]
+        fresh = [(full, full & ~a_1)]
+        for b_h, b_1 in elems[: i + 1]:
+            fresh.append((a_h & b_h, a_1 & b_1))
+            fresh.append((a_h | b_h, a_1 | b_1))
         for t in fresh:
             if t not in seen:
                 seen.add(t)
                 elems.append(t)
         i += 1
-    return tuple(sorted(elems))
+    return tuple(sorted(TritTable.from_planes(n, *t).entries for t in elems))
 
 
 def clone_closure(n: int, arity_cap: int = DEFAULT_CLONE_ARITY_CAP) -> HomSet:
@@ -312,24 +303,27 @@ def slice_first(table: TritTable, a: Element) -> TritTable:
     if table.arity < 1:
         raise ValueError("slicing needs at least one argument position")
     block = 3 ** (table.arity - 1)
-    lo = int(a) * block
-    return TritTable(table.arity - 1, table.entries[lo : lo + block])
+    lo, mask = int(a) * block, (1 << block) - 1
+    return TritTable.from_planes(table.arity - 1, table.ge_h >> lo & mask, table.ge_1 >> lo & mask)
 
 
 def assemble(s0: TritTable, sh: TritTable, s1: TritTable) -> TritTable:
     """Inverse of slicing: glue three (n-1)-ary tables along the first argument."""
     if not s0.arity == sh.arity == s1.arity:
         raise ValueError("slices must share an arity")
-    return TritTable(s0.arity + 1, s0.entries + sh.entries + s1.entries)
+    block = 3 ** s0.arity
+    return TritTable.from_planes(
+        s0.arity + 1,
+        s0.ge_h | sh.ge_h << block | s1.ge_h << 2 * block,
+        s0.ge_1 | sh.ge_1 << block | s1.ge_1 << 2 * block,
+    )
 
 
 def point_slice(table: TritTable, x: tuple[Element, ...]) -> TritTable:
     """The unary map a |-> table(a, x) for a fixed tail x."""
     if len(x) != table.arity - 1:
         raise ValueError(f"tail must have {table.arity - 1} coordinates")
-    tail = tuple_index(x)
-    block = 3 ** (table.arity - 1)
-    return TritTable(1, tuple(table.entries[int(a) * block + tail] for a in ELEMENTS))
+    return TritTable(1, tuple(table(a, *x) for a in ELEMENTS))
 
 
 @lru_cache(maxsize=None)

@@ -85,13 +85,14 @@ class FinitePoset:
 
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
         if self._covers is None:
-            covers = []
+            lower, upper = [], [[] for _ in range(self.n)]
             for i in range(self.n):
                 strict = self._down[i] & ~(1 << i)
-                for j in _bits(strict):
-                    if self._up[j] & ~(1 << j) & strict == 0:
-                        covers.append((j, i))
-            self._covers = tuple(sorted(covers))
+                lower.append(tuple(j for j in _bits(strict) if self._up[j] & ~(1 << j) & strict == 0))
+                for j in lower[i]:
+                    upper[j].append(i)
+            self._lower_covers, self._upper_covers = tuple(lower), tuple(map(tuple, upper))
+            self._covers = tuple(sorted((j, i) for i in range(self.n) for j in lower[i]))
         return self._covers
 
     def cover_pairs(self) -> tuple[tuple, ...]:
@@ -100,10 +101,12 @@ class FinitePoset:
         )
 
     def lower_cover_indices(self, i: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.cover_index_pairs() if b == i)
+        self.cover_index_pairs()
+        return self._lower_covers[i]
 
     def upper_cover_indices(self, i: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.cover_index_pairs() if a == i)
+        self.cover_index_pairs()
+        return self._upper_covers[i]
 
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -140,12 +143,12 @@ class FinitePoset:
         """All downsets as bit masks, sorted by (size, mask)."""
         if self.n > 20:
             raise ValueError("downset enumeration capped at 20 elements")
-        strict = [self._down[i] & ~(1 << i) for i in range(self.n)]
-        masks = [
-            m
-            for m in range(1 << self.n)
-            if all(m & strict[i] == strict[i] for i in _bits(m))
-        ]
+        # Along a linear extension, extending each downset of the prefix by
+        # the next element where allowed gives the downsets of the longer one.
+        masks = [0]
+        for i in sorted(range(self.n), key=lambda i: bin(self._down[i]).count("1")):
+            strict = self._down[i] & ~(1 << i)
+            masks += [m | 1 << i for m in masks if m & strict == strict]
         masks.sort(key=lambda m: (bin(m).count("1"), m))
         return tuple(masks)
 

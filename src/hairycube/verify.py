@@ -53,6 +53,7 @@ from .duality import (
 )
 from .homsets import (
     StructuredSpace,
+    assemble,
     check_construct_conditions,
     clone_closure,
     enumerate_homs_bruteforce,
@@ -287,10 +288,10 @@ def suite_homs_agree(n_max: int | None = None) -> SuiteReport:
         for psi in lower.tables():
             psi_h = psi.meet_h()
             built = (
-                TritTable(n, psi_h.entries * 3),
-                TritTable(n, zero.entries + psi_h.entries + psi_h.entries),
-                TritTable(n, zero.entries + psi_h.entries + psi.entries),
-                TritTable(n, psi.entries + psi.entries + psi_h.entries),
+                assemble(psi_h, psi_h, psi_h),
+                assemble(zero, psi_h, psi_h),
+                assemble(zero, psi_h, psi),
+                assemble(psi, psi, psi_h),
             )
             if any(t.entries not in upper for t in built):
                 closure_ok = False

@@ -26,6 +26,7 @@ from hairycube.core import (
     tuple_leq,
     tuple_meet,
 )
+from hairycube.homsets import assemble, point_slice, slice_first
 
 elements = st.sampled_from(ELEMENTS)
 
@@ -172,3 +173,68 @@ def test_table_arity_mismatch():
         TritTable.projection(1, 1).meet(TritTable.projection(2, 1))
     with pytest.raises(ValueError):
         TritTable.projection(2, 1)(ZERO)
+
+
+def entry_tuples(n):
+    return st.tuples(*([elements] * 3 ** n))
+
+
+@st.composite
+def table_pairs(draw):
+    """Two entry tuples of one arity in 0..3; the second shares a prefix
+    with the first, and is sometimes pushed above it, so that order and
+    lexicographic comparison see more than the first entry."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    x, y = draw(entry_tuples(n)), draw(entry_tuples(n))
+    k = draw(st.integers(min_value=0, max_value=len(x)))
+    y = x[:k] + y[k:]
+    if draw(st.booleans()):
+        y = tuple_join(x, y)
+    return n, x, y
+
+
+@given(table_pairs())
+def test_table_planes_match_tuple_oracle(case):
+    n, x, y = case
+    a, b = TritTable(n, x), TritTable(n, y)
+    for t, entries in ((a, x), (TritTable.from_planes(n, a.ge_h, a.ge_1), x)):
+        assert t.entries == entries
+        assert str(t) == "".join(str(e) for e in entries)
+        assert TritTable.from_string(str(t)) == t
+    c = a.meet(b)
+    assert c.entries is c.entries and str(c) is str(c)  # views are memoised
+    assert c.entries == tuple_meet(x, y)
+    assert a.join(b).entries == tuple_join(x, y)
+    assert a.bar().entries == tuple_bar(x)
+    assert a.meet_h().entries == tuple_meet(x, (H,) * len(x))
+    assert a.leq(b) == tuple_leq(x, y)
+    assert b.leq(a) == tuple_leq(y, x)
+    for args in all_tuples(n):
+        assert a(*args) == x[tuple_index(args)]
+    assert (a == b) == (x == y)
+    if x == y:
+        assert hash(a) == hash(b)
+    assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+
+
+@given(st.lists(
+    st.integers(min_value=0, max_value=2).flatmap(lambda n: st.tuples(st.just(n), entry_tuples(n))),
+    max_size=8,
+))
+def test_table_sort_is_lexicographic(cases):
+    tables = [TritTable(n, entries) for n, entries in cases]
+    assert [(t.arity, t.entries) for t in sorted(tables)] == sorted(cases)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(entry_tuples))
+def test_slices_match_entry_slicing(x):
+    n = {3: 1, 9: 2, 27: 3}[len(x)]
+    t = TritTable(n, x)
+    block = 3 ** (n - 1)
+    slices = [slice_first(t, a) for a in ELEMENTS]
+    assert [s.entries for s in slices] == [x[k * block : (k + 1) * block] for k in range(3)]
+    assert assemble(*slices) == t
+    assert assemble(*slices).entries == x
+    for tail in all_tuples(n - 1):
+        expected = tuple(x[k * block + tuple_index(tail)] for k in range(3))
+        assert point_slice(t, tail).entries == expected

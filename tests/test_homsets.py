@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hairycube.core import ELEMENTS, H, ONE, TritTable, ZERO, all_tuples
+from hairycube.core import (
+    ELEMENTS,
+    H,
+    ONE,
+    TritTable,
+    ZERO,
+    all_tuples,
+    tuple_bar,
+    tuple_join,
+    tuple_meet,
+)
 from hairycube.duality import LAMBDA1, LAMBDA2, PI1, PI2
 from hairycube.homsets import (
     CapExceededError,
@@ -65,6 +75,32 @@ def test_clone_counts():
     assert len(clone_closure(1)) == 7
     assert len(clone_closure(2)) == 35
     assert len(clone_closure(3)) == 775
+
+
+def _tuple_clone(n):
+    """The term clone closed on entry tuples with the pointwise tuple
+    helpers, independently of the table planes.  Entries are kept as int
+    codes, which hash faster than Elements and compare equal to them."""
+    elems = [tuple(int(args[i]) for args in all_tuples(n)) for i in range(n)]
+    elems += [(int(c),) * 3 ** n for c in ELEMENTS]
+    seen = set(elems)
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        fresh = [tuple(map(int, tuple_bar(a)))]
+        for b in elems[: i + 1]:
+            fresh += [tuple_meet(a, b), tuple_join(a, b)]
+        for t in fresh:
+            if t not in seen:
+                seen.add(t)
+                elems.append(t)
+        i += 1
+    return tuple(sorted(elems))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_clone_closure_matches_tuple_closure(n):
+    assert clone_closure(n).maps == _tuple_clone(n)
 
 
 def test_bruteforce_at_arity_three_agrees_with_clone():
