@@ -154,12 +154,16 @@ def _cube_poset(n: int) -> FinitePoset:
     )
 
 
-def verify_hairy_cube(poset: FinitePoset, n: int) -> HairyCubeReport:
-    """Check the four shape clauses against an arbitrary poset of tables."""
-    tables = [_element_table(e) for e in poset.elements]
-    h_const = TritTable.constant(n, H)
-    base_idx = [i for i, t in enumerate(tables) if t.leq(h_const)]
-    hair_idx = [i for i, t in enumerate(tables) if not t.leq(h_const)]
+def _shape_clauses(poset: FinitePoset, base_idx, n: int, over):
+    """The four hairy-cube shape clauses of a poset with a given base.
+
+    `over(i, j)` says whether hair j may sit over base point i.  Returns the
+    base's isomorphism onto `_cube_poset(n)` (None if there is none), the
+    hair index over each base index, and the (name, ok, detail) clauses.
+    """
+    in_base = set(base_idx)
+    hair_idx = [i for i in range(poset.n) if i not in in_base]
+    shown = [_element_table(e) for e in poset.elements]
     clauses = []
 
     base = poset.induced(base_idx)
@@ -186,27 +190,44 @@ def verify_hairy_cube(poset: FinitePoset, n: int) -> HairyCubeReport:
         )
     )
 
+    hair_over: dict[int, int] = {}
     ok_up = True
     detail_up = "each base vertex has one non-base cover equal to its hair"
     for i in base_idx:
-        ups = [j for j in poset.upper_cover_indices(i) if j in hair_idx]
-        if len(ups) != 1 or tables[ups[0]].meet_h() != tables[i]:
+        ups = [j for j in poset.upper_cover_indices(i) if j not in in_base]
+        if len(ups) != 1 or not over(i, ups[0]):
             ok_up = False
-            detail_up = f"base element {tables[i]} has non-base covers {ups}"
+            detail_up = f"base element {shown[i]} has non-base covers {ups}"
             break
+        hair_over[i] = ups[0]
     clauses.append(("unique-hair-cover", ok_up, detail_up))
 
     ok_down = True
     detail_down = "each hair covers exactly its meet with h"
     for j in hair_idx:
         downs = poset.lower_cover_indices(j)
-        if len(downs) != 1 or tables[downs[0]] != tables[j].meet_h():
+        if len(downs) != 1 or downs[0] not in in_base or not over(downs[0], j):
             ok_down = False
-            detail_down = f"hair {tables[j]} has lower covers {downs}"
+            detail_down = f"hair {shown[j]} has lower covers {downs}"
             break
     clauses.append(("hair-covers-own-base", ok_down, detail_down))
 
-    return HairyCubeReport(n, tuple(clauses))
+    return iso, hair_over, tuple(clauses)
+
+
+def verify_hairy_cube(poset: FinitePoset, n: int) -> HairyCubeReport:
+    """Check the four shape clauses against an arbitrary poset of tables.
+
+    The base is the tables below h, and each hair must meet h to the base
+    point it covers.
+    """
+    tables = [_element_table(e) for e in poset.elements]
+    h_const = TritTable.constant(n, H)
+    base_idx = [i for i, t in enumerate(tables) if t.leq(h_const)]
+    _, _, clauses = _shape_clauses(
+        poset, base_idx, n, lambda i, j: tables[j].meet_h() == tables[i]
+    )
+    return HairyCubeReport(n, clauses)
 
 
 def ji_meet_formula_check(n: int) -> bool:
@@ -227,11 +248,6 @@ def ji_meet_formula_check(n: int) -> bool:
         if not m.leq(h_const):
             return False
     return True
-
-
-def downset_topology(poset: FinitePoset) -> tuple[frozenset, ...]:
-    """All downsets, i.e. the open sets of the associated finite topology."""
-    return poset.downsets()
 
 
 def open_set_order(opens, elements=None) -> FinitePoset:
@@ -269,7 +285,7 @@ class PartiallyStoneSpaceFinite:
         unknown = base - set(poset.elements)
         if unknown:
             raise ValueError(f"base points {unknown} are not in the poset")
-        return cls(poset, base, downset_topology(poset))
+        return cls(poset, base, poset.downsets())
 
     @classmethod
     def of_dimension(cls, n: int) -> "PartiallyStoneSpaceFinite":
@@ -289,59 +305,30 @@ class PssResult:
 def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult:
     """Try to exhibit the candidate as the dimension-n hairy cube.
 
-    Hypotheses checked in order: the base is order-isomorphic to the
-    2^n cube, the non-base points are pairwise incomparable, every base
-    point has a unique non-base cover, and every non-base point covers
-    exactly one base point.  On success the rank-respecting base match is
-    extended along the cover bijection and verified to be a full order
-    isomorphism (downset topologies then correspond automatically, and
-    this is checked as well).
+    The four shape clauses are checked in order against the candidate's
+    base, and the first that fails is reported.  On success the base's cube
+    isomorphism is extended along the hair covers to the recursive
+    construction and verified to be a full order isomorphism (downset
+    topologies then correspond automatically, and this is checked as well).
     """
     poset = candidate.poset
     base_idx = [i for i, e in enumerate(poset.elements) if e in candidate.base]
-    hair_idx = [i for i in range(poset.n) if i not in set(base_idx)]
+    iso, hair_over, clauses = _shape_clauses(poset, base_idx, n, lambda i, j: True)
+    for name, ok, _ in clauses:
+        if not ok:
+            # a candidate's points need not be tables that meet h, so the
+            # fourth clause asks only for one base point below each hair
+            if name == "hair-covers-own-base":
+                name = "hair-covers-one-base"
+            return PssResult(False, name, None)
 
     target = hairy_cube_recursive(n)
-    target_base_idx = [i for i, e in enumerate(target.elements) if e.is_base]
-    target_base = target.induced(target_base_idx)
-
-    base_poset = poset.induced(base_idx)
-    base_iso = (
-        base_poset.isomorphism_to(target_base) if base_poset.n == 2 ** n else None
-    )
-    if base_iso is None:
-        return PssResult(False, "base-is-cube", None)
-
-    for i, j in combinations(hair_idx, 2):
-        if poset.leq_by_index(i, j) or poset.leq_by_index(j, i):
-            return PssResult(False, "hairs-incomparable", None)
-
-    hair_over: dict[int, int] = {}
-    for i in base_idx:
-        ups = [j for j in poset.upper_cover_indices(i) if j in set(hair_idx)]
-        if len(ups) != 1:
-            return PssResult(False, "unique-hair-cover", None)
-        hair_over[i] = ups[0]
-
-    for j in hair_idx:
-        downs = [i for i in poset.lower_cover_indices(j) if i in set(base_idx)]
-        if len(downs) != 1 or poset.lower_cover_indices(j) != tuple(downs):
-            return PssResult(False, "hair-covers-one-base", None)
-
-    target_hair_over = {}
-    for e in target.elements:
-        if e.is_base:
-            i = target.index(e)
-            ups = [
-                j
-                for j in target.upper_cover_indices(i)
-                if not target.elements[j].is_base
-            ]
-            target_hair_over[e] = target.elements[ups[0]]
-
-    mapping = dict(base_iso)
+    by_key = {(e.epsilon, e.meet_h): e for e in target.elements}
+    mapping = {}
     for i, j in hair_over.items():
-        mapping[poset.elements[j]] = target_hair_over[base_iso[poset.elements[i]]]
+        v = iso[poset.elements[i]]
+        mapping[poset.elements[i]] = by_key[v, True]
+        mapping[poset.elements[j]] = by_key[v, False]
 
     for x in poset.elements:
         for y in poset.elements:
@@ -349,16 +336,14 @@ def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult
                 return PssResult(False, "order-isomorphism", None)
 
     image_opens = {frozenset(mapping[x] for x in o) for o in candidate.opens}
-    if image_opens != set(downset_topology(target)):
+    if image_opens != set(target.downsets()):
         return PssResult(False, "open-sets-correspond", None)
     return PssResult(True, None, mapping)
 
 
 def chi_lattice(n: int) -> FiniteLattice:
     """The n-ary hom-set as a lattice of tables under the pointwise order."""
-    return FiniteLattice.from_leq(
-        clone_closure(n).tables(), lambda x, y: x.leq(y), validate=False
-    )
+    return clone_closure(n).lattice()
 
 
 def extracted_hairy_cube(n: int) -> FinitePoset:

@@ -33,7 +33,6 @@ from .homsets import (
     enumerate_homs_bruteforce,
     preserves_relation,
 )
-from .posets import FiniteLattice
 from .relations import (
     R1,
     R2,
@@ -44,6 +43,7 @@ from .relations import (
     enumerate_subalgebras,
     canonical_name,
     is_subuniverse,
+    relation,
 )
 
 
@@ -235,21 +235,18 @@ class Witness:
 
 def optimality_witnesses() -> tuple[Witness, ...]:
     """Dropping any one of r1, r2, r3 admits a new compatible map."""
-    names = {1: "r1", 2: "r2", 3: "r3"}
     results = []
 
     def unary_case(table_text: str, kept: tuple[int, int], dropped: int):
         table = TritTable.from_string(table_text)
         space = StructuredSpace.power(1)
-        keeps = all(
-            preserves_relation(table, (R1, R2, R3)[i - 1], space) for i in kept
-        )
-        breaks = not preserves_relation(table, (R1, R2, R3)[dropped - 1], space)
+        keeps = all(preserves_relation(table, relation(i), space) for i in kept)
+        breaks = not preserves_relation(table, relation(dropped), space)
         results.append(
             Witness(
                 f"unary map {table_text}",
-                tuple(names[i] for i in kept),
-                names[dropped],
+                tuple(f"r{i}" for i in kept),
+                f"r{dropped}",
                 keeps and breaks,
             )
         )
@@ -446,10 +443,7 @@ def persistence_check(n: int, carrier_cap: int = 12) -> bool:
     clone = clone_closure(n)
     if set(homs.maps) != set(clone.maps):
         return False
-    lattice = FiniteLattice.from_leq(
-        homs.tables(), lambda x, y: x.leq(y), validate=False
-    )
-    ji = join_irreducibles(lattice)
+    ji = join_irreducibles(homs.lattice())
     cube = hairy_cube_recursive(n)
     return {t.entries for t in ji.elements} == {
         e.table.entries for e in cube.elements

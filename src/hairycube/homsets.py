@@ -25,7 +25,6 @@ from .core import (
     Element,
     TritTable,
     all_tuples,
-    tuple_leq,
     ZERO,
 )
 from .posets import FiniteLattice
@@ -196,7 +195,8 @@ class HomSet:
         return tuple(TritTable(self.source.arity, m) for m in self.maps)
 
     def lattice(self) -> FiniteLattice:
-        return FiniteLattice.from_leq(self.maps, tuple_leq, validate=False)
+        """The tables under the pointwise order."""
+        return FiniteLattice.from_leq(self.tables(), TritTable.leq, validate=False)
 
 
 def _compile_checks(space: StructuredSpace):

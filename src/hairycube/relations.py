@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Union
 
 from .core import (
@@ -25,6 +25,7 @@ from .core import (
     tuple_join,
     tuple_meet,
 )
+from .posets import FiniteLattice, FinitePoset
 
 PAIRS: tuple[tuple[Element, Element], ...] = all_tuples(2)
 
@@ -165,68 +166,17 @@ def is_subuniverse(subset: SubsetLike, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubalgebraLattice:
-    """All subuniverses of S^2 ordered by inclusion."""
-
-    elements: tuple[BinaryRelation, ...]
-    covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
-    meets: tuple[tuple[int, ...], ...]
-    joins: tuple[tuple[int, ...], ...]
-
-    def index(self, r: BinaryRelation) -> int:
-        return self.elements.index(r)
-
-    def bottom(self) -> BinaryRelation:
-        return self.elements[0]
-
-    def top(self) -> BinaryRelation:
-        return self.elements[-1]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(canonical_name(r) for r in self.elements)
-
-    def cover_names(self) -> tuple[tuple[str, str], ...]:
-        ns = self.names()
-        return tuple((ns[i], ns[j]) for i, j in self.covers)
-
-
 @lru_cache(maxsize=None)
-def enumerate_subalgebras() -> SubalgebraLattice:
-    """Brute force over all 2^9 subsets of S^2, keeping the subuniverses."""
+def enumerate_subalgebras() -> FiniteLattice:
+    """Brute force over all 2^9 subsets of S^2, keeping the subuniverses;
+    the inclusion lattice lists them by (size, mask)."""
     found = []
     for mask in range(1 << 9):
         rel = BinaryRelation(mask)
         if DIAGONAL.issubset(rel) and is_subuniverse(rel, 2):
             found.append(rel)
     found.sort(key=lambda r: (len(r), r.mask))
-    n = len(found)
-    covers = []
-    for i, j in product(range(n), repeat=2):
-        a, b = found[i], found[j]
-        if a.mask == b.mask or not a.issubset(b):
-            continue
-        if any(
-            a.issubset(found[k]) and found[k].issubset(b) and k not in (i, j)
-            for k in range(n)
-        ):
-            continue
-        covers.append((i, j))
-    by_mask = {r.mask: i for i, r in enumerate(found)}
-    meets = tuple(
-        tuple(by_mask[found[i].mask & found[j].mask] for j in range(n))
-        for i in range(n)
-    )
-    joins = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            union = found[i].mask | found[j].mask
-            above = [k for k in range(n) if union & ~found[k].mask == 0]
-            least = min(above, key=lambda k: (len(found[k]), found[k].mask))
-            row.append(least)
-        joins.append(tuple(row))
-    return SubalgebraLattice(tuple(found), tuple(covers), meets, tuple(joins))
+    return FiniteLattice.from_leq(found, BinaryRelation.issubset)
 
 
 @lru_cache(maxsize=None)
@@ -270,21 +220,10 @@ def enumerate_congruences() -> tuple[BinaryRelation, ...]:
 
 def meet_irreducible_congruences() -> tuple[BinaryRelation, ...]:
     """Congruences with exactly one upper cover in the congruence lattice."""
-    cons = enumerate_congruences()
-    result = []
-    for c in cons:
-        above = [d for d in cons if c.issubset(d) and c.mask != d.mask]
-        covers = [
-            d
-            for d in above
-            if not any(
-                c.issubset(e) and e.issubset(d) and e.mask not in (c.mask, d.mask)
-                for e in above
-            )
-        ]
-        if len(covers) == 1:
-            result.append(c)
-    return tuple(result)
+    poset = FinitePoset.from_leq(enumerate_congruences(), BinaryRelation.issubset)
+    return tuple(
+        c for i, c in enumerate(poset.elements) if len(poset.upper_cover_indices(i)) == 1
+    )
 
 
 def subuniverses_of_carrier() -> tuple[frozenset[Element], ...]:

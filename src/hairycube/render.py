@@ -93,8 +93,7 @@ def subalgebras_payload() -> dict:
             for r in lat.elements
         ],
         "covers": [
-            [canonical_name(lat.elements[i]), canonical_name(lat.elements[j])]
-            for i, j in lat.covers
+            [canonical_name(a), canonical_name(b)] for a, b in lat.cover_pairs()
         ],
     }
 
@@ -104,7 +103,7 @@ def subalgebras_dot() -> str:
     nodes = [
         (f"n{i}", {"label": canonical_name(r)}) for i, r in enumerate(lat.elements)
     ]
-    edges = [(f"n{i}", f"n{j}") for i, j in lat.covers]
+    edges = [(f"n{i}", f"n{j}") for i, j in lat.cover_index_pairs()]
     return _dot_digraph("subalgebras", nodes, edges)
 
 

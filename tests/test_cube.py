@@ -10,7 +10,6 @@ from hairycube.core import H, TritTable
 from hairycube.cube import (
     PartiallyStoneSpaceFinite,
     chi_lattice,
-    downset_topology,
     eta,
     eval_polynomial,
     extracted_hairy_cube,
@@ -79,6 +78,59 @@ def test_shape_clauses_fail_on_wrong_poset():
     report = verify_hairy_cube(only_base, 1)
     assert not report.passed
     assert report.failed_clauses() == ("unique-hair-cover",)
+
+
+def _reordered_unary_cube(strict):
+    """The four unary join-irreducibles under a hand-written order, given
+    as strict pairs of table strings (already transitively closed)."""
+    cube1 = hairy_cube_recursive(1)
+    pairs = set(strict)
+    return FinitePoset.from_leq(
+        cube1.elements,
+        lambda x, y: x == y or (str(x.table), str(y.table)) in pairs,
+    )
+
+
+TRUE_UNARY_ORDER = {("0hh", "hhh"), ("0hh", "0h1"), ("hhh", "11h"), ("0hh", "11h")}
+SWAPPED_UNARY_ORDER = {("0hh", "hhh"), ("0hh", "11h"), ("hhh", "0h1"), ("0hh", "0h1")}
+
+
+def test_shape_clauses_fail_on_comparable_hairs():
+    poset = _reordered_unary_cube(TRUE_UNARY_ORDER | {("0h1", "11h")})
+    report = verify_hairy_cube(poset, 1)
+    assert report.failed_clauses() == ("hairs-incomparable", "hair-covers-own-base")
+
+
+def test_shape_clauses_fail_on_swapped_hairs():
+    # each hair sits over the other hair's base: the cover shape is right,
+    # but no hair meets h to the base point it covers
+    poset = _reordered_unary_cube(SWAPPED_UNARY_ORDER)
+    report = verify_hairy_cube(poset, 1)
+    assert report.failed_clauses() == ("unique-hair-cover", "hair-covers-own-base")
+    # pss_homeomorphism only asks for the shape, so it accepts a relabelling
+    base = frozenset(e for e in poset.elements if e.is_base)
+    res = pss_homeomorphism(PartiallyStoneSpaceFinite.from_poset(poset, base), 1)
+    assert res.ok is True
+
+
+def _first_failed(report):
+    names = report.failed_clauses()
+    if not names:
+        return None
+    return "hair-covers-one-base" if names[0] == "hair-covers-own-base" else names[0]
+
+
+def test_shape_checkers_agree_on_every_induced_subposet():
+    cases = 0
+    for n in (1, 2):
+        cube = hairy_cube_recursive(n)
+        for mask in range(1, 1 << cube.n):
+            sub = cube.induced(i for i in range(cube.n) if mask >> i & 1)
+            base = frozenset(e for e in sub.elements if e.is_base)
+            found = pss_homeomorphism(PartiallyStoneSpaceFinite.from_poset(sub, base), n)
+            assert _first_failed(verify_hairy_cube(sub, n)) == found.failed_clause, mask
+            cases += 1
+    assert cases == 15 + 255
 
 
 def test_eta_is_the_cube_coordinate():
@@ -170,7 +222,7 @@ def test_join_irreducibles_of_chi():
 def test_alexandrov_roundtrip_on_cubes():
     for n in (1, 2, 3):
         cube = hairy_cube_recursive(n)
-        opens = downset_topology(cube)
+        opens = cube.downsets()
         assert open_set_order(opens, elements=cube.elements) == cube
 
 
@@ -178,7 +230,7 @@ def test_alexandrov_roundtrip_on_cubes():
 def test_alexandrov_roundtrip_random_subposets(indices):
     cube = hairy_cube_recursive(3)
     sub = cube.induced(sorted(indices))
-    opens = downset_topology(sub)
+    opens = sub.downsets()
     assert open_set_order(opens, elements=sub.elements) == sub
 
 
@@ -248,6 +300,13 @@ def test_pss_rejects_each_failure_mode():
     assert (
         pss_homeomorphism(missing_hair, 1).failed_clause == "unique-hair-cover"
     )
+
+    two_hairs = _space(
+        ["b0", "b1", "g0", "g0'", "g1"],
+        [("b0", "b1"), ("b0", "g0"), ("b0", "g0'"), ("b1", "g1")],
+        base=["b0", "b1"],
+    )
+    assert pss_homeomorphism(two_hairs, 1).failed_clause == "unique-hair-cover"
 
     shared_hair = _space(
         ["00", "01", "10", "11", "g", "h00", "h11"],

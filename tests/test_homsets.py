@@ -123,7 +123,7 @@ def test_homset_membership_and_lattice():
     lat = homs.lattice()
     assert lat.n == 7
     bottom = lat.elements[lat.bottom_index()]
-    assert bottom == tuple(TritTable.constant(1, ZERO).entries)
+    assert bottom == TritTable.constant(1, ZERO)
 
 
 def test_structured_space_validation():

@@ -84,9 +84,9 @@ def test_subuniverse_input_validation():
 def test_thirteen_subalgebras():
     lat = enumerate_subalgebras()
     assert len(lat.elements) == 13
-    assert lat.bottom() == DIAGONAL
-    assert lat.top() == FULL
-    assert set(lat.names()) == {
+    assert lat.elements[lat.bottom_index()] == DIAGONAL
+    assert lat.elements[lat.top_index()] == FULL
+    assert {canonical_name(r) for r in lat.elements} == {
         "Δ", "r1", "r1⁻¹", "r2", "r2⁻¹", "r3", "r1∩r1⁻¹", "r2∩r1⁻¹",
         "(r2∩r1⁻¹)⁻¹", "r2∩r2⁻¹", "r2∩r1⁻¹∩r3", "(r2∩r1⁻¹∩r3)⁻¹", "S²",
     }
@@ -111,8 +111,9 @@ EXPECTED_COVERS = {
 
 def test_subalgebra_hasse_diagram():
     lat = enumerate_subalgebras()
-    assert set(lat.cover_names()) == EXPECTED_COVERS
-    assert len(lat.covers) == 20
+    names = {(canonical_name(a), canonical_name(b)) for a, b in lat.cover_pairs()}
+    assert names == EXPECTED_COVERS
+    assert len(lat.cover_index_pairs()) == 20
 
 
 def test_subalgebra_lattice_operations():
@@ -120,20 +121,16 @@ def test_subalgebra_lattice_operations():
     n = len(lat.elements)
     for i in range(n):
         for j in range(n):
-            met = lat.elements[lat.meets[i][j]]
+            met = lat.elements[lat.meet_index(i, j)]
             assert met == lat.elements[i] & lat.elements[j]
-            joined = lat.elements[lat.joins[i][j]]
+            joined = lat.elements[lat.join_index(i, j)]
             assert lat.elements[i].issubset(joined)
             assert lat.elements[j].issubset(joined)
     # r2 u r2⁻¹ already exhausts S^2, while the two four-element
     # subalgebras join to r3
-    i = lat.index(R2)
-    j = lat.index(R2.inverse())
-    assert canonical_name(lat.elements[lat.joins[i][j]]) == "S²"
+    assert canonical_name(lat.join(R2, R2.inverse())) == "S²"
     small = R2 & R1.inverse() & R3
-    i = lat.index(small)
-    j = lat.index(small.inverse())
-    assert canonical_name(lat.elements[lat.joins[i][j]]) == "r3"
+    assert canonical_name(lat.join(small, small.inverse())) == "r3"
 
 
 def test_family_closed_under_inverse_and_intersection():
