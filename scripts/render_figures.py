@@ -7,9 +7,13 @@ dimensions 1 to 3.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from hairycube.render import RENDERABLES, dumps
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hairycube.render import RENDERABLES, dumps  # noqa: E402
 
 
 def main() -> int:

@@ -7,9 +7,13 @@ report with certificates.
 
 import argparse
 import sys
+from pathlib import Path
 
-from hairycube.render import dumps
-from hairycube.verify import report_lines, reports_payload, run_suite
+# Run from a checkout without installing: the package lives in ../src.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hairycube.render import dumps  # noqa: E402
+from hairycube.verify import report_lines, reports_payload, run_suite  # noqa: E402
 
 
 def main() -> int:

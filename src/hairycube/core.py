@@ -239,6 +239,11 @@ class TritTable:
         self._same_arity(other)
         return not (self.ge_h & ~other.ge_h or self.ge_1 & ~other.ge_1)
 
+    @property
+    def order_mask(self) -> int:
+        """Both planes in one int; within an arity, `leq` is mask inclusion."""
+        return self.ge_h << 3 ** self.arity | self.ge_1
+
     def _same_arity(self, other: "TritTable") -> None:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")

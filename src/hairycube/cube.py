@@ -123,9 +123,7 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
     elements = sorted(
         JIElement(t, *polynomial_form(t, n)) for t in tables
     )
-    return FinitePoset.from_leq(
-        elements, lambda x, y: x.table.leq(y.table), validate=False
-    )
+    return FinitePoset.from_masks(elements, [e.table.order_mask for e in elements])
 
 
 def _element_table(x) -> TritTable:
@@ -148,10 +146,8 @@ class HairyCubeReport:
 
 
 def _cube_poset(n: int) -> FinitePoset:
-    verts = sorted(product((0, 1), repeat=n))
-    return FinitePoset.from_leq(
-        verts, lambda x, y: all(a <= b for a, b in zip(x, y)), validate=False
-    )
+    # Vertex i has the bits of i as its coordinates, first coordinate highest.
+    return FinitePoset.from_masks(sorted(product((0, 1), repeat=n)), range(2 ** n))
 
 
 def _shape_clauses(poset: FinitePoset, base_idx, n: int, over):
@@ -260,14 +256,13 @@ def open_set_order(opens, elements=None) -> FinitePoset:
     elements = tuple(elements)
     if set(elements) != points:
         raise ValueError("element list does not match the union of the opens")
-
-    def leq(x, y):
-        return all(x in o for o in opens if y in o)
-
-    for x, y in combinations(elements, 2):
-        if leq(x, y) and leq(y, x):
-            raise ValueError(f"topology is not T0: {x} and {y} are inseparable")
-    return FinitePoset.from_leq(elements, leq, validate=False)
+    # x <= y iff the opens that miss x are among those that miss y
+    masks = [sum(1 << k for k, o in enumerate(opens) if x not in o) for x in elements]
+    if len(set(masks)) != len(masks):
+        pairs = combinations(zip(elements, masks), 2)
+        x, y = next((x, y) for (x, a), (y, b) in pairs if a == b)
+        raise ValueError(f"topology is not T0: {x} and {y} are inseparable")
+    return FinitePoset.from_masks(elements, masks)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core import (
 )
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import (
+    DEFAULT_CARRIER_CAP,
     CapExceededError,
     HomSet,
     StructuredSpace,
@@ -157,7 +158,7 @@ def compose_lambda_swap() -> bool:
                if not LAMBDA2.defined(a, b))
 
 
-def homs_for_variant(n: int, variant_name: str, carrier_cap: int = 12) -> HomSet:
+def homs_for_variant(n: int, variant_name: str, carrier_cap: int = DEFAULT_CARRIER_CAP) -> HomSet:
     return enumerate_homs_bruteforce(
         variant(variant_name).power_space(n), carrier_cap=carrier_cap
     )
@@ -332,7 +333,7 @@ def _lambda1_closed_subsets(n: int):
             yield tuple(p for i, p in enumerate(power.carrier) if mask >> i & 1)
 
 
-def entailment_lambda1(max_power: int = 2, carrier_cap: int = 12) -> EntailmentReport:
+def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
     if max_power > 2:
         raise CapExceededError(
             f"entailment check capped at power 2, got {max_power}"
@@ -344,7 +345,7 @@ def entailment_lambda1(max_power: int = 2, carrier_cap: int = 12) -> EntailmentR
         for subset in _lambda1_closed_subsets(n):
             substructures += 1
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
-            homs = enumerate_homs_bruteforce(space, carrier_cap=carrier_cap)
+            homs = enumerate_homs_bruteforce(space)
             for values in homs:
                 maps_checked += 1
                 for rel, rel_name in ((R1, "r1"), (R3, "r3")):
@@ -377,9 +378,7 @@ class EvaluationReport:
         return self.bijective and self.homomorphism
 
 
-def evaluation_map_check(
-    carrier, variant_name: str = "relational", carrier_cap: int = 12
-) -> EvaluationReport:
+def evaluation_map_check(carrier, variant_name: str = "relational") -> EvaluationReport:
     """Is a |-> (f |-> f(a)) an isomorphism onto the double dual?
 
     The dual D(A) is the set of algebra homs A -> S viewed inside S^A with
@@ -397,15 +396,9 @@ def evaluation_map_check(
     dual_space = StructuredSpace.from_points(
         duals, var.relations, var.partial_ops + var.total_ops
     )
-    double_dual = enumerate_homs_bruteforce(dual_space, carrier_cap=carrier_cap)
+    double_dual = enumerate_homs_bruteforce(dual_space)
 
-    dual_order = {p: i for i, p in enumerate(dual_space.carrier)}
-    evaluations = []
-    for i, _a in enumerate(carrier):
-        values = [None] * len(duals)
-        for f in duals:
-            values[dual_order[f]] = f[i]
-        evaluations.append(tuple(values))
+    evaluations = [tuple(f[i] for f in dual_space.carrier) for i in range(len(carrier))]
 
     bijective = len(set(evaluations)) == len(carrier) and set(evaluations) == set(
         double_dual.maps
@@ -434,12 +427,12 @@ def evaluation_map_check(
     )
 
 
-def persistence_check(n: int, carrier_cap: int = 12) -> bool:
+def persistence_check(n: int) -> bool:
     """The optimal strong structure has the same morphisms S^n -> S as the
     full relational one, and the same join-irreducible geometry."""
     if n > 2:
         raise CapExceededError(f"persistence check capped at power 2, got {n}")
-    homs = homs_for_variant(n, "optimal-strong", carrier_cap=carrier_cap)
+    homs = homs_for_variant(n, "optimal-strong")
     clone = clone_closure(n)
     if set(homs.maps) != set(clone.maps):
         return False

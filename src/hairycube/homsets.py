@@ -196,7 +196,8 @@ class HomSet:
 
     def lattice(self) -> FiniteLattice:
         """The tables under the pointwise order."""
-        return FiniteLattice.from_leq(self.tables(), TritTable.leq, validate=False)
+        tables = self.tables()
+        return FiniteLattice.from_masks(tables, [t.order_mask for t in tables])
 
 
 def _compile_checks(space: StructuredSpace):

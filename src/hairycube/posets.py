@@ -1,7 +1,9 @@
 """Small finite posets and lattices over explicit element tuples.
 
-Order rows are kept as integer bit masks, which keeps cover and downset
-computations cheap even for the few-hundred-element hom-set lattices.
+The package's orders are inclusions of bit masks (table planes, relation
+masks, cube coordinates, opens), built by `from_masks`; `from_leq` takes any
+relation and serves as the reference.  Order rows are bit masks too, which
+keeps covers and downsets cheap.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ class FinitePoset:
             down.append(mask)
         return cls(elements, down, validate=validate)
 
+    @classmethod
+    def from_masks(cls, elements: Sequence, masks: Sequence[int]):
+        """x <= y iff masks[x] & ~masks[y] == 0: a partial order unless two
+        masks are equal, which raises ValueError."""
+        masks = tuple(masks)
+        if len(set(masks)) != len(masks):
+            raise ValueError("equal masks: inclusion is not antisymmetric")
+        down = [
+            sum(1 << j for j, x in enumerate(masks) if not x & outside)
+            for outside in [~m for m in masks]
+        ]
+        return cls(elements, down, validate=False)
+
     @property
     def n(self) -> int:
         return len(self._elements)
@@ -79,9 +94,6 @@ class FinitePoset:
 
     def down_mask(self, i: int) -> int:
         return self._down[i]
-
-    def up_mask(self, i: int) -> int:
-        return self._up[i]
 
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
         if self._covers is None:
@@ -238,11 +250,6 @@ class FiniteLattice(FinitePoset):
         super().__init__(elements, down, validate=validate)
         self._meet_cache: dict[tuple[int, int], int] = {}
         self._join_cache: dict[tuple[int, int], int] = {}
-
-    @classmethod
-    def from_leq(cls, elements, leq, validate: bool = True):
-        poset = FinitePoset.from_leq(elements, leq, validate=validate)
-        return cls(poset.elements, poset._down, validate=False)
 
     def _extreme(self, i: int, j: int, rows, cache) -> int:
         key = (i, j) if i <= j else (j, i)

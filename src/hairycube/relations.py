@@ -25,7 +25,7 @@ from .core import (
     tuple_join,
     tuple_meet,
 )
-from .posets import FiniteLattice, FinitePoset
+from .posets import FiniteLattice
 
 PAIRS: tuple[tuple[Element, Element], ...] = all_tuples(2)
 
@@ -176,7 +176,7 @@ def enumerate_subalgebras() -> FiniteLattice:
         if DIAGONAL.issubset(rel) and is_subuniverse(rel, 2):
             found.append(rel)
     found.sort(key=lambda r: (len(r), r.mask))
-    return FiniteLattice.from_leq(found, BinaryRelation.issubset)
+    return FiniteLattice.from_masks(found, [r.mask for r in found])
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +206,9 @@ def canonical_name(r: BinaryRelation) -> str:
     return _canonical_names().get(r.mask, str(r))
 
 
-def enumerate_congruences() -> tuple[BinaryRelation, ...]:
-    """Compatible equivalence relations on S, ordered by (size, mask)."""
+@lru_cache(maxsize=None)
+def enumerate_congruences() -> FiniteLattice:
+    """Compatible equivalence relations on S, by (size, mask), under inclusion."""
     found = [
         BinaryRelation(mask)
         for mask in range(1 << 9)
@@ -215,14 +216,14 @@ def enumerate_congruences() -> tuple[BinaryRelation, ...]:
         and is_subuniverse(BinaryRelation(mask), 2)
     ]
     found.sort(key=lambda r: (len(r), r.mask))
-    return tuple(found)
+    return FiniteLattice.from_masks(found, [r.mask for r in found])
 
 
 def meet_irreducible_congruences() -> tuple[BinaryRelation, ...]:
     """Congruences with exactly one upper cover in the congruence lattice."""
-    poset = FinitePoset.from_leq(enumerate_congruences(), BinaryRelation.issubset)
+    lat = enumerate_congruences()
     return tuple(
-        c for i, c in enumerate(poset.elements) if len(poset.upper_cover_indices(i)) == 1
+        c for i, c in enumerate(lat.elements) if len(lat.upper_cover_indices(i)) == 1
     )
 
 

@@ -108,24 +108,22 @@ def subalgebras_dot() -> str:
 
 
 def congruences_payload() -> dict:
-    cons = enumerate_congruences()
-    poset = FinitePoset.from_leq(cons, lambda a, b: a.issubset(b))
-    labels = [canonical_name(c) for c in cons]
+    lat = enumerate_congruences()
+    labels = [canonical_name(c) for c in lat.elements]
     return {
         "schema": SCHEMA,
         "object": "congruence-lattice",
-        "count": len(cons),
-        **_poset_payload(poset, labels),
+        "count": lat.n,
+        **_poset_payload(lat, labels),
     }
 
 
 def congruences_dot() -> str:
-    cons = enumerate_congruences()
-    poset = FinitePoset.from_leq(cons, lambda a, b: a.issubset(b))
+    lat = enumerate_congruences()
     nodes = [
-        (f"n{i}", {"label": canonical_name(c)}) for i, c in enumerate(cons)
+        (f"n{i}", {"label": canonical_name(c)}) for i, c in enumerate(lat.elements)
     ]
-    edges = [(f"n{i}", f"n{j}") for i, j in poset.cover_index_pairs()]
+    edges = [(f"n{i}", f"n{j}") for i, j in lat.cover_index_pairs()]
     return _dot_digraph("congruences", nodes, edges)
 
 

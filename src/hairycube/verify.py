@@ -24,6 +24,7 @@ from .core import (
 )
 from .cube import (
     PartiallyStoneSpaceFinite,
+    _cube_poset,
     eta,
     eval_polynomial,
     extracted_hairy_cube,
@@ -195,7 +196,8 @@ def suite_subalgebras(n_max: int | None = None) -> SuiteReport:
 
 def suite_congruences(n_max: int | None = None) -> SuiteReport:
     checks = []
-    cons = enumerate_congruences()
+    con_lattice = enumerate_congruences()
+    cons = con_lattice.elements
     expected = {DIAGONAL.mask, R3.mask, (R2 & R2.inverse()).mask, FULL.mask}
     checks.append(
         Check("set", "Con(S) = {Δ, r3, r2∩r2⁻¹, S²}",
@@ -211,14 +213,9 @@ def suite_congruences(n_max: int | None = None) -> SuiteReport:
               "subuniverses of S^2",
               set(cons) == set(filtered))
     )
-    square = FinitePoset.from_leq(
-        ((0, 0), (0, 1), (1, 0), (1, 1)),
-        lambda x, y: x[0] <= y[0] and x[1] <= y[1],
-    )
-    con_poset = FinitePoset.from_leq(cons, lambda a, b: a.issubset(b))
     checks.append(
         Check("square-shape", "Con(S) is the four-element Boolean lattice",
-              con_poset.isomorphism_to(square) is not None)
+              con_lattice.isomorphism_to(_cube_poset(2)) is not None)
     )
     mis = meet_irreducible_congruences()
     checks.append(

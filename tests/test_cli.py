@@ -198,12 +198,19 @@ def test_console_entry_matches_module_invocation():
         assert by_module.stdout == by_entry.stdout
 
 
+def script_env():
+    """No PYTHONPATH: the scripts must find the package in a fresh checkout."""
+    env = clean_env()
+    env.pop("PYTHONPATH", None)
+    return env
+
+
 def test_run_all_checks_script():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_all_checks.py")],
         capture_output=True,
         text=True,
-        env=clean_env(),
+        env=script_env(),
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -220,7 +227,7 @@ def test_render_figures_script(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=clean_env(),
+        env=script_env(),
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -237,6 +237,11 @@ def test_alexandrov_roundtrip_random_subposets(indices):
 def test_open_set_order_rejects_non_t0():
     with pytest.raises(ValueError):
         open_set_order([frozenset(), frozenset({"a", "b"})])
+    # b, c and a, d are both inseparable; the first pair in element order
+    # is (a, d), which a scan for the first repeated point would miss
+    opens = [frozenset(), frozenset("ad"), frozenset("bc"), frozenset("abcd")]
+    with pytest.raises(ValueError, match="not T0: a and d are inseparable"):
+        open_set_order(opens)
     with pytest.raises(ValueError):
         open_set_order([frozenset({"a"})], elements=["a", "b"])
 

@@ -154,3 +154,43 @@ def test_downsets_are_exactly_down_closed_sets(values):
         )
     ]
     assert p.downset_masks() == tuple(sorted(naive, key=lambda m: (bin(m).count("1"), m)))
+
+
+@st.composite
+def distinct_masks(draw):
+    # two 5-bit fields, the high one far out, so that comparable pairs are
+    # common and the masks are also wide ints
+    wide = draw(st.sampled_from([5, 4000]))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 31), st.integers(0, 31)),
+            unique=True,
+            max_size=16,
+        )
+    )
+    return [low | high << wide for low, high in pairs]
+
+
+@given(distinct_masks())
+def test_from_masks_matches_inclusion_through_from_leq(masks):
+    elements = [f"e{i}" for i in range(len(masks))]
+    mask_of = dict(zip(elements, masks))
+    p = FinitePoset.from_masks(elements, masks)
+    q = FinitePoset.from_leq(elements, lambda x, y: mask_of[x] & ~mask_of[y] == 0)
+    assert p.elements == q.elements
+    assert [p.down_mask(i) for i in range(p.n)] == [q.down_mask(i) for i in range(q.n)]
+    assert p.cover_index_pairs() == q.cover_index_pairs()
+
+
+def test_from_masks_rejects_equal_masks():
+    with pytest.raises(ValueError):
+        FinitePoset.from_masks("abc", [1, 3, 1])
+    with pytest.raises(ValueError):
+        FinitePoset.from_masks("ab", [0, 1, 3])  # one mask too many
+
+
+def test_lattice_from_masks_is_a_lattice():
+    lat = FiniteLattice.from_masks("0abt", [0b00, 0b01, 0b10, 0b11])
+    assert type(lat) is FiniteLattice
+    assert lat.join("a", "b") == "t" and lat.meet("a", "b") == "0"
+    assert lat.join_irreducible_indices() == (1, 2)

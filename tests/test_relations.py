@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hairycube.core import ELEMENTS, H, ONE, ZERO
+from hairycube.posets import FiniteLattice, FinitePoset
 from hairycube.relations import (
     DIAGONAL,
     FULL,
@@ -150,10 +151,21 @@ def test_membership_matches_direct_check(mask):
 
 
 def test_congruence_lattice():
-    cons = enumerate_congruences()
+    cons = enumerate_congruences().elements
     assert [canonical_name(c) for c in cons] == ["Δ", "r3", "r2∩r2⁻¹", "S²"]
     assert R3 & (R2 & R2.inverse()) == DIAGONAL
     assert meet_irreducible_congruences() == (R3, R2 & R2.inverse())
+
+
+def test_congruence_lattice_is_built_once_by_inclusion():
+    lat = enumerate_congruences()
+    assert enumerate_congruences() is lat
+    assert isinstance(lat, FiniteLattice)
+    oracle = FinitePoset.from_leq(lat.elements, BinaryRelation.issubset)
+    assert lat.cover_index_pairs() == oracle.cover_index_pairs()
+    assert all(
+        lat.down_mask(i) == oracle.down_mask(i) for i in range(lat.n)
+    )
 
 
 def test_irreducibility_index_is_two():
