@@ -51,7 +51,7 @@ from .homsets import (
     StructuredSpace,
     clone_closure,
     enumerate_homs_bruteforce,
-    unary_morphisms,
+    lift,
 )
 from .posets import FiniteLattice, FinitePoset
 from .relations import (
@@ -106,7 +106,7 @@ __all__ = [
     "StructuredSpace",
     "clone_closure",
     "enumerate_homs_bruteforce",
-    "unary_morphisms",
+    "lift",
     "FiniteLattice",
     "FinitePoset",
     "R1",

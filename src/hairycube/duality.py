@@ -438,6 +438,4 @@ def persistence_check(n: int) -> bool:
         return False
     ji = join_irreducibles(homs.lattice())
     cube = hairy_cube_recursive(n)
-    return {t.entries for t in ji.elements} == {
-        e.table.entries for e in cube.elements
-    }
+    return set(ji.elements) == {e.table for e in cube.elements}

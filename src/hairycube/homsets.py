@@ -1,10 +1,11 @@
 """Hom-set enumeration over structured spaces, and the term clone on S.
 
-Two independent routes produce the same hom-sets and are kept separate on
-purpose: `enumerate_homs_bruteforce` searches all assignments carrier -> S
-against the relational (and partial-operation) constraints, while
-`clone_closure` generates term tables from projections and constants.
-Tests compare the two.
+Three independent routes produce the same hom-sets and are kept separate
+on purpose: `enumerate_homs_bruteforce` searches all assignments
+carrier -> S against the relational (and partial-operation) constraints,
+`clone_closure` generates term tables from projections and constants, and
+`lift` glues the hom-set one arity up from pairs of slices.  Tests compare
+the three.
 
 There is one constraint engine.  A `StructuredSpace` works out once which
 carrier indices each of its relations and operations constrains
@@ -320,39 +321,25 @@ def assemble(s0: TritTable, sh: TritTable, s1: TritTable) -> TritTable:
     )
 
 
-def point_slice(table: TritTable, x: tuple[Element, ...]) -> TritTable:
-    """The unary map a |-> table(a, x) for a fixed tail x."""
-    if len(x) != table.arity - 1:
-        raise ValueError(f"tail must have {table.arity - 1} coordinates")
-    return TritTable(1, tuple(table(a, *x) for a in ELEMENTS))
+def lift(homs: HomSet) -> HomSet:
+    """The hom-set one arity up, glued from slice pairs.
 
-
-@lru_cache(maxsize=None)
-def unary_morphisms() -> tuple[TritTable, ...]:
-    return clone_closure(1).tables()
-
-
-def check_construct_conditions(table: TritTable, member_of: HomSet) -> bool:
-    """Necessary conditions for membership in the hom-set one arity up.
-
-    The three slices must belong to `member_of`, satisfy
-    s0 v (s1 ^ h) = sh and s0 ^ h <= s1, and every point slice must be a
-    unary morphism.
+    f |-> (f(0,.), f(1,.)) is a bijection from hom(S^(n+1)) onto the pairs
+    (s0, s1) of hom(S^n) with s0 ^ h <= s1, and the middle slice is then
+    s0 v (s1 ^ h).  Maps come out in canonical order: by s0, then by the
+    middle slice, then by s1.
     """
-    if table.arity < 2:
-        raise ValueError("construct conditions apply to arity >= 2")
-    if member_of.source.arity != table.arity - 1:
-        raise ValueError("member_of must hold tables one arity down")
-    s0, sh, s1 = (slice_first(table, a) for a in ELEMENTS)
-    members = set(member_of.maps)
-    if not (s0.entries in members and sh.entries in members and s1.entries in members):
-        return False
-    if s0.join(s1.meet_h()) != sh:
-        return False
-    if not s0.meet_h().leq(s1):
-        return False
-    unary = set(unary_morphisms())
-    for x in all_tuples(table.arity - 1):
-        if point_slice(table, x) not in unary:
-            return False
-    return True
+    tables = homs.tables()
+    rank = {(t.ge_h, t.ge_1): i for i, t in enumerate(tables)}
+    maps = []
+    for s0, m0 in zip(tables, homs.maps):
+        glued = []
+        for i, s1 in enumerate(tables):
+            if not s0.ge_h & ~s1.ge_h:
+                middle = rank.get((s0.ge_h | s1.ge_h, s0.ge_1))
+                if middle is None:
+                    raise ValueError("hom-set lacks the middle slice of a slice pair")
+                glued.append((middle, i))
+        glued.sort()
+        maps += [m0 + homs.maps[middle] + homs.maps[i] for middle, i in glued]
+    return HomSet(StructuredSpace.power(homs.source.arity + 1), tuple(maps))

@@ -65,7 +65,6 @@ Z, O = ZERO, ONE
 def _clear_caches() -> None:
     core.all_tuples.cache_clear()
     homsets._clone_entries.cache_clear()
-    homsets.unary_morphisms.cache_clear()
     cube.hairy_cube_recursive.cache_clear()
     relations.enumerate_subalgebras.cache_clear()
     relations.enumerate_congruences.cache_clear()

@@ -26,7 +26,7 @@ from hairycube.core import (
     tuple_leq,
     tuple_meet,
 )
-from hairycube.homsets import assemble, point_slice, slice_first
+from hairycube.homsets import assemble, slice_first
 
 elements = st.sampled_from(ELEMENTS)
 
@@ -235,6 +235,3 @@ def test_slices_match_entry_slicing(x):
     assert [s.entries for s in slices] == [x[k * block : (k + 1) * block] for k in range(3)]
     assert assemble(*slices) == t
     assert assemble(*slices).entries == x
-    for tail in all_tuples(n - 1):
-        expected = tuple(x[k * block + tuple_index(tail)] for k in range(3))
-        assert point_slice(t, tail).entries == expected

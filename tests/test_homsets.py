@@ -1,6 +1,11 @@
-"""Hom-set enumeration: brute force vs clone closure, slices, caps."""
+"""Hom-set enumeration: brute force vs clone closure vs lift, slices, caps."""
 
+import hashlib
+import importlib.util
+import json
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 from hairycube.core import (
     ELEMENTS,
+    Element,
     H,
     ONE,
     TritTable,
@@ -20,16 +26,15 @@ from hairycube.core import (
 from hairycube.duality import LAMBDA1, LAMBDA2, PI1, PI2
 from hairycube.homsets import (
     CapExceededError,
+    HomSet,
     StructuredSpace,
     assemble,
-    check_construct_conditions,
     clone_closure,
     enumerate_homs_bruteforce,
-    point_slice,
+    lift,
     preserves_partial_op,
     preserves_relation,
     slice_first,
-    unary_morphisms,
 )
 from hairycube.relations import R1, R2, R3
 
@@ -37,7 +42,7 @@ UNARY = ("000", "0hh", "0h1", "hhh", "hh1", "11h", "111")
 
 
 def test_unary_homset_is_the_reference_list():
-    assert tuple(str(t) for t in unary_morphisms()) == UNARY
+    assert tuple(str(t) for t in clone_closure(1).tables()) == UNARY
     brute = enumerate_homs_bruteforce(StructuredSpace.power(1))
     assert tuple(str(t) for t in brute.tables()) == UNARY
 
@@ -106,6 +111,7 @@ def test_clone_closure_matches_tuple_closure(n):
 def test_bruteforce_at_arity_three_agrees_with_clone():
     brute = enumerate_homs_bruteforce(StructuredSpace.power(3), carrier_cap=27)
     assert brute.maps == clone_closure(3).maps
+    assert lift(clone_closure(2)).maps == brute.maps
 
 
 def test_carrier_cap_enforced():
@@ -153,10 +159,6 @@ def test_slice_assemble_roundtrip_explicit():
     s0, sh, s1 = (slice_first(t, a) for a in ELEMENTS)
     assert (str(s0), str(sh), str(s1)) == ("000", "0hh", "0h1")
     assert assemble(s0, sh, s1).entries == t.entries
-    assert str(point_slice(t, (ONE,))) == "0h1"
-    assert str(point_slice(t, (ZERO,))) == "000"
-    with pytest.raises(ValueError):
-        point_slice(t, (ZERO, ZERO))
     with pytest.raises(ValueError):
         slice_first(TritTable.projection(1, 1), ZERO).entries  # arity 0 slice is fine
         slice_first(TritTable.constant(0, ZERO), ZERO)
@@ -170,32 +172,70 @@ def test_slice_assemble_roundtrip_random(entries):
     t = TritTable(2, entries)
     rebuilt = assemble(*(slice_first(t, a) for a in ELEMENTS))
     assert rebuilt.entries == t.entries
-    for tail in all_tuples(1):
-        ps = point_slice(t, tail)
-        for a in ELEMENTS:
-            assert ps(a) == t(a, *tail)
 
 
-def test_construct_conditions_hold_on_members():
-    unary = clone_closure(1)
-    for t in clone_closure(2).tables():
-        assert check_construct_conditions(t, unary)
+def _slice_conditions(entries, unary):
+    """The four slice conditions on a binary table, read off its nine
+    entries: the slices f(0,.), f(h,.), f(1,.) are unary homs,
+    f(h,.) = f(0,.) v (f(1,.) ^ h), f(0,.) ^ h <= f(1,.), and every point
+    slice a |-> f(a, x) is a unary hom."""
+    s0, sh, s1 = entries[0:3], entries[3:6], entries[6:9]
+    return (
+        {s0, sh, s1} <= unary
+        and sh == tuple(max(a, min(b, H)) for a, b in zip(s0, s1))
+        and all(min(a, H) <= b for a, b in zip(s0, s1))
+        and all((entries[x], entries[3 + x], entries[6 + x]) in unary for x in range(3))
+    )
 
 
 def test_construct_conditions_reject_nonmembers_at_arity_two():
-    # At arity 2 the slice conditions happen to cut out the hom-set exactly.
-    unary = clone_closure(1)
-    members = set(clone_closure(2).maps)
-    passing = set()
-    for entries in product(ELEMENTS, repeat=9):
-        if check_construct_conditions(TritTable(2, entries), unary):
-            passing.add(entries)
-    assert passing == members
+    # At arity 2 the slice conditions cut out the hom-set exactly, and lift
+    # glues exactly the tables that pass them.
+    unary = {tuple(map(Element.from_char, t)) for t in UNARY}
+    passing = {e for e in product(ELEMENTS, repeat=9) if _slice_conditions(e, unary)}
+    assert passing == set(lift(clone_closure(1)).maps) == set(clone_closure(2).maps)
 
 
-def test_construct_conditions_arity_guard():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_builds_the_next_hom_set(n):
+    assert lift(clone_closure(n - 1)).maps == clone_closure(n).maps
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it loads
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lift_to_arity_four_matches_the_pinned_search(monkeypatch):
+    # The benchmark's search-n4 request pins the stdout line of the arity-4
+    # search, {"count": ..., "sha256": ...} over the bytes of its maps; the
+    # lifted hom-set must print the same line.
+    search = _load_workloads(monkeypatch).SEARCH_N4
+    homs = lift(clone_closure(3))
+    digest = hashlib.sha256()
+    for m in homs.maps:
+        digest.update(bytes(m))
+    line = json.dumps({"count": len(homs), "sha256": digest.hexdigest()}) + "\n"
+    assert len(homs) == search.count == 319107
+    assert hashlib.sha256(line.encode()).hexdigest() == search.sha256
+
+
+def test_lift_refuses_what_is_not_a_hom_set():
+    diagonal = StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE)])
     with pytest.raises(ValueError):
-        check_construct_conditions(TritTable.projection(1, 1), clone_closure(1))
+        lift(enumerate_homs_bruteforce(diagonal))
+    # 000 and 0h1 form a slice pair whose middle slice, 0hh, is missing.
+    unary = clone_closure(1)
+    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != (ZERO, H, H)))
+    with pytest.raises(ValueError, match="middle slice"):
+        lift(gapped)
 
 
 def test_clone_closed_under_operations():

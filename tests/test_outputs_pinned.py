@@ -4,11 +4,13 @@ The digests were taken from the command line before the tables moved to
 bit planes (the subalgebra, congruence, chi JSON and verify-all digests
 before the lattice code was merged into FiniteLattice; the arity-3 chi and
 dimension-7 cube digests before every order was built from inclusion
-masks) and must never be regenerated from changed code: a refactor that
-changes any exported byte fails here.  The arity-3 chi lattice (775
-tables) and the dimension-7 hairy cube (256 elements) are the pinned orders
-with hundreds of elements; they add about 2 s.  homs --n 3 is pinned by the
-benchmark only; the benchmark also pins verify all and the dimension-7 cube.
+masks; homs --n 3 when its pin moved over from the benchmark) and must
+never be regenerated from changed code: a refactor that changes any
+exported byte fails here.  The arity-3 chi lattice (775 tables) and the
+dimension-7 hairy cube (256 elements) are the pinned orders with hundreds
+of elements; they add about 2 s, and homs --n 3 about 0.8 s more.  The
+benchmark pins verify all, homs --n 3 and the dimension-7 cube with the
+same digests.
 """
 
 import hashlib
@@ -56,6 +58,8 @@ PINNED = {
         "21de089186fbbda60065540056c05b653093ccd66f3079d3697c64715cef180e",
     "render hairy-cube --n 7 --format json":
         "3a24d4b611506979877a3bea6404376c47d0d3803950ed549a7a646686b83059",
+    "homs --n 3":
+        "40c42c8fd517c87ace1fb1921b08100f466b83e7cd909f47511995d373e3d015",
 }
 
 
