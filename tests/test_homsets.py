@@ -188,6 +188,12 @@ def _slice_conditions(entries, unary):
     )
 
 
+def test_construct_conditions_hold_on_members():
+    unary = {tuple(map(Element.from_char, t)) for t in UNARY}
+    for m in clone_closure(2).maps:
+        assert _slice_conditions(m, unary)
+
+
 def test_construct_conditions_reject_nonmembers_at_arity_two():
     # At arity 2 the slice conditions cut out the hom-set exactly, and lift
     # glues exactly the tables that pass them.
