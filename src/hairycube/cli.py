@@ -38,11 +38,11 @@ def _homs(n: int, variant_name: str, config: Config) -> tuple[HomSet, str]:
     var = VARIANTS[variant_name]
     space = var.power_space(n)
     kept = tuple(
-        m
-        for m in clone.maps
-        if all(preserves_relation(m, rel, space) for rel in var.relations)
+        t.entries
+        for t in clone.tables()
+        if all(preserves_relation(t, rel, space) for rel in var.relations)
         and all(
-            preserves_partial_op(m, op, space)
+            preserves_partial_op(t, op, space)
             for op in var.partial_ops + var.total_ops
         )
     )

@@ -123,6 +123,13 @@ _BIT_SUM = bytes.maketrans(b"`ab", b"\0\1\2")  # ord("0") + ord("0") == ord("`")
 _CHARS = bytes.maketrans(b"\0\1\2", b"0h1")
 
 
+def planes(codes) -> tuple[int, int]:
+    """The (ge_h, ge_1) bit planes of a nonempty sequence of entry codes
+    0, 1, 2: bit i is entry i."""
+    bits = bytes(codes)[::-1]  # entry 0 becomes the lowest bit
+    return int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
+
+
 @total_ordering
 @dataclass(frozen=True, init=False, slots=True)
 class TritTable:
@@ -145,9 +152,7 @@ class TritTable:
             raise ValueError(
                 f"arity {arity} needs {3 ** arity} entries, got {len(entries)}"
             )
-        bits = bytes(entries)[::-1]  # entry 0 becomes the lowest bit
-        ge_h, ge_1 = int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
-        self._fill(arity, ge_h, ge_1, entries, None)
+        self._fill(arity, *planes(entries), entries, None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(("arity", "ge_h", "ge_1", "_entries", "_text"), values):

@@ -7,16 +7,25 @@ carrier -> S against the relational (and partial-operation) constraints,
 `lift` glues the hom-set one arity up from pairs of slices.  Tests compare
 the three.
 
+The clone closes in three stages on (ge_h, ge_1) plane pairs: the
+generators under bar, then under meets, then under joins.  That is the
+whole clone, because bar is antitone, so the sublattice generated by a
+bar-closed set is bar-closed, and being distributive it is the joins of
+meets of that set.
+
 There is one constraint engine.  A `StructuredSpace` works out once which
 carrier indices each of its relations and operations constrains
 (`related_pairs`, `op_triples`); the search, `preserves_relation`,
 `preserves_partial_op`, the carrier's closure check and the algebra homs
 of `duality.algebra_homs` (meet and join as total operations, constants as
-singleton relations) all read those.
+singleton relations) all read those.  `related_rows` packs the related
+pairs into one bit mask per carrier index, so `preserves_relation` is one
+mask test per row against the indices f sends to allowed values.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
@@ -26,6 +35,7 @@ from .core import (
     Element,
     TritTable,
     all_tuples,
+    planes,
     ZERO,
 )
 from .posets import FiniteLattice
@@ -61,7 +71,8 @@ class StructuredSpace:
     relations: tuple[BinaryRelation, ...] = ()
     partial_ops: tuple[PartialOp, ...] = ()
     _index: dict = field(init=False, repr=False, compare=False)
-    # relation -> its related_pairs, operation -> its op_triples
+    # relation -> its related_pairs, operation -> its op_triples,
+    # ("rows", relation) -> its related_rows
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -93,6 +104,16 @@ class StructuredSpace:
                 if all(map(rel.contains, u, v))
             )
         return self._memo[rel]
+
+    def related_rows(self, rel: BinaryRelation) -> tuple[int, ...]:
+        """Row i is the bit mask of the j with (i, j) in related_pairs(rel)."""
+        key = ("rows", rel)
+        if key not in self._memo:
+            rows = [0] * self.size
+            for i, j in self.related_pairs(rel):
+                rows[i] |= 1 << j
+            self._memo[key] = tuple(rows)
+        return self._memo[key]
 
     def op_triples(self, op: PartialOp) -> tuple[tuple[int, int, int | None], ...]:
         """(i, j, k) for each index pair in op's componentwise domain, where
@@ -151,9 +172,20 @@ def _as_assignment(f: MapLike, space: StructuredSpace) -> tuple[Element, ...]:
 
 
 def preserves_relation(f: MapLike, rel: BinaryRelation, space: StructuredSpace) -> bool:
-    """Does f carry componentwise rel-related carrier points to rel-related values?"""
-    values = _as_assignment(f, space)
-    return all(rel.contains(values[i], values[j]) for i, j in space.related_pairs(rel))
+    """Does f carry componentwise rel-related carrier points to rel-related values?
+
+    With E_b the mask of carrier indices that f sends to b, and allowed[a]
+    the union of E_b over the b with (a, b) in rel, f preserves rel iff
+    every related row i lies inside allowed[f(i)].
+    """
+    codes = bytes(_as_assignment(f, space))
+    ge_h, ge_1 = (f.ge_h, f.ge_1) if isinstance(f, TritTable) else planes(codes)
+    full = (1 << space.size) - 1
+    by_value = (full & ~ge_h, ge_h & ~ge_1, ge_1)
+    allowed = [0, 0, 0]
+    for a, b in rel.pairs():
+        allowed[a] |= by_value[b]
+    return not any(row & ~allowed[c] for row, c in zip(space.related_rows(rel), codes))
 
 
 def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> bool:
@@ -162,13 +194,14 @@ def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> b
     Requires the componentwise result to lie in the carrier, the image pair
     to lie in the domain, and the values to agree.
     """
-    values = _as_assignment(f, space)
-    return all(
-        k is not None
-        and op.defined(values[i], values[j])
-        and op(values[i], values[j]) == values[k]
-        for i, j, k in space.op_triples(op)
-    )
+    codes = bytes(_as_assignment(f, space))
+    dmask = op.domain.mask
+    values = bytes(0 if v is None else v for v in op.values)
+    for i, j, k in space.op_triples(op):
+        x = 3 * codes[i] + codes[j]
+        if k is None or not dmask >> x & 1 or values[x] != codes[k]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -264,27 +297,39 @@ def enumerate_homs_bruteforce(
     return HomSet(space, maps)
 
 
-@lru_cache(maxsize=None)
-def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
-    """The clone's tables, closed as (ge_h, ge_1) plane pairs and read out
-    as entry tuples once, sorted."""
-    full = (1 << 3 ** n) - 1
-    gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
-    gens += [TritTable.constant(n, c) for c in ELEMENTS]
-    elems = list(dict.fromkeys((g.ge_h, g.ge_1) for g in gens))
+def _close(elems: list, step) -> list:
+    """Append to elems, in place, every new pair that step yields from a
+    member, until step yields nothing new."""
     seen = set(elems)
-    i = 0
-    while i < len(elems):
-        a_h, a_1 = elems[i]
-        fresh = [(full, full & ~a_1)]
-        for b_h, b_1 in elems[: i + 1]:
-            fresh.append((a_h & b_h, a_1 & b_1))
-            fresh.append((a_h | b_h, a_1 | b_1))
-        for t in fresh:
+    for a in elems:  # also visits the pairs appended on the way
+        for t in step(a):
             if t not in seen:
                 seen.add(t)
                 elems.append(t)
-        i += 1
+    return elems
+
+
+@lru_cache(maxsize=None)
+def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
+    """The clone's tables, closed as (ge_h, ge_1) plane pairs and read out
+    as entry tuples once, sorted.
+
+    The closure runs in three stages: the generators under bar, that set
+    under meets with its own members, and the result under joins with the
+    stage-2 members.  This is the whole clone: bar is antitone on the
+    chain, so bar(x ^ y) = bar x v bar y and bar(x v y) = bar x ^ bar y,
+    hence the sublattice generated by a bar-closed set is bar-closed; and
+    that sublattice is distributive, so it is the joins of meets of the set.
+    """
+    full = (1 << 3 ** n) - 1
+    gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
+    gens += [TritTable.constant(n, c) for c in ELEMENTS]
+    barred = _close(list(dict.fromkeys((g.ge_h, g.ge_1) for g in gens)),
+                    lambda a: ((full, full & ~a[1]),))
+    meets = _close(list(barred),
+                   lambda a: ((a[0] & b_h, a[1] & b_1) for b_h, b_1 in barred))
+    elems = _close(list(meets),
+                   lambda a: ((a[0] | b_h, a[1] | b_1) for b_h, b_1 in meets))
     return tuple(sorted(TritTable.from_planes(n, *t).entries for t in elems))
 
 
@@ -332,14 +377,23 @@ def lift(homs: HomSet) -> HomSet:
     tables = homs.tables()
     rank = {(t.ge_h, t.ge_1): i for i, t in enumerate(tables)}
     maps = []
-    for s0, m0 in zip(tables, homs.maps):
-        glued = []
-        for i, s1 in enumerate(tables):
-            if not s0.ge_h & ~s1.ge_h:
-                middle = rank.get((s0.ge_h | s1.ge_h, s0.ge_1))
-                if middle is None:
-                    raise ValueError("hom-set lacks the middle slice of a slice pair")
-                glued.append((middle, i))
-        glued.sort()
-        maps += [m0 + homs.maps[middle] + homs.maps[i] for middle, i in glued]
+    # The glued maps are GC-tracked tuples that hold no cycles; pausing the
+    # cyclic collector spares the repeated passes it would make over them
+    # while they are built.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for s0, m0 in zip(tables, homs.maps):
+            glued = []
+            for i, s1 in enumerate(tables):
+                if not s0.ge_h & ~s1.ge_h:
+                    middle = rank.get((s0.ge_h | s1.ge_h, s0.ge_1))
+                    if middle is None:
+                        raise ValueError("hom-set lacks the middle slice of a slice pair")
+                    glued.append((middle, i))
+            glued.sort()
+            maps += [m0 + homs.maps[middle] + homs.maps[i] for middle, i in glued]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return HomSet(StructuredSpace.power(homs.source.arity + 1), tuple(maps))

@@ -1,6 +1,24 @@
-"""Echo the acceptance criterion lines after the run, past output capture."""
+"""Echo the acceptance criterion lines after the run, past output capture;
+load the benchmark's pinned requests read-only for the tests that share them."""
 
+import importlib.util
 import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The module perfbench/workloads.py, loaded without importing perfbench."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it loads
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

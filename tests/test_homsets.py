@@ -1,11 +1,9 @@
 """Hom-set enumeration: brute force vs clone closure vs lift, slices, caps."""
 
+import gc
 import hashlib
-import importlib.util
 import json
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from hairycube.core import (
     tuple_join,
     tuple_meet,
 )
-from hairycube.duality import LAMBDA1, LAMBDA2, PI1, PI2
+from hairycube.duality import JOIN, LAMBDA1, LAMBDA2, MEET, PI1, PI2
 from hairycube.homsets import (
     CapExceededError,
     HomSet,
@@ -36,7 +34,7 @@ from hairycube.homsets import (
     preserves_relation,
     slice_first,
 )
-from hairycube.relations import R1, R2, R3
+from hairycube.relations import R1, R2, R3, BinaryRelation, PartialOp
 
 UNARY = ("000", "0hh", "0h1", "hhh", "hh1", "11h", "111")
 
@@ -106,6 +104,16 @@ def _tuple_clone(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_clone_closure_matches_tuple_closure(n):
     assert clone_closure(n).maps == _tuple_clone(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_clone_closure_is_closed_under_bar_meet_and_join(n):
+    tables = clone_closure(n).tables()
+    members = {(t.ge_h, t.ge_1) for t in tables}
+    assert {(b.ge_h, b.ge_1) for b in map(TritTable.bar, tables)} <= members
+    for a_h, a_1 in members:
+        assert {(a_h & b_h, a_1 & b_1) for b_h, b_1 in members} <= members
+        assert {(a_h | b_h, a_1 | b_1) for b_h, b_1 in members} <= members
 
 
 def test_bruteforce_at_arity_three_agrees_with_clone():
@@ -207,23 +215,11 @@ def test_lift_builds_the_next_hom_set(n):
     assert lift(clone_closure(n - 1)).maps == clone_closure(n).maps
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules while it loads
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_lift_to_arity_four_matches_the_pinned_search(monkeypatch):
+def test_lift_to_arity_four_matches_the_pinned_search(workloads):
     # The benchmark's search-n4 request pins the stdout line of the arity-4
     # search, {"count": ..., "sha256": ...} over the bytes of its maps; the
     # lifted hom-set must print the same line.
-    search = _load_workloads(monkeypatch).SEARCH_N4
+    search = workloads.SEARCH_N4
     homs = lift(clone_closure(3))
     digest = hashlib.sha256()
     for m in homs.maps:
@@ -231,6 +227,22 @@ def test_lift_to_arity_four_matches_the_pinned_search(monkeypatch):
     line = json.dumps({"count": len(homs), "sha256": digest.hexdigest()}) + "\n"
     assert len(homs) == search.count == 319107
     assert hashlib.sha256(line.encode()).hexdigest() == search.sha256
+
+
+def test_lift_leaves_the_collector_as_it_found_it():
+    unary = clone_closure(1)
+    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != (ZERO, H, H)))
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            assert lift(unary).maps == clone_closure(2).maps
+            assert gc.isenabled() is state
+            with pytest.raises(ValueError):
+                lift(gapped)
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_lift_refuses_what_is_not_a_hom_set():
@@ -306,3 +318,117 @@ def test_search_matches_naive_filter(points, relations, partial_ops):
             all(preserves_relation(values, rel, space) for rel in relations)
             and all(preserves_partial_op(values, op, space) for op in partial_ops)
         )
+
+
+def _naive_preserves_relation(values, rel, space):
+    return all(rel.contains(values[i], values[j]) for i, j in space.related_pairs(rel))
+
+
+def _naive_preserves_partial_op(values, op, space):
+    return all(
+        k is not None
+        and op.defined(values[i], values[j])
+        and op(values[i], values[j]) == values[k]
+        for i, j, k in space.op_triples(op)
+    )
+
+
+RELATIONS = (R1, R2, R3)
+# pi1 and pi2 are total and preserved by every map; meet and join are
+# total operations that most maps break.
+OPERATIONS = (LAMBDA1, LAMBDA2, PI1, PI2, MEET, JOIN)
+POWERS = {n: StructuredSpace.power(n) for n in (1, 2, 3)}
+
+
+def _near_homs(n, points):
+    """Assignments on these points of S^n, in canonical order: a member of
+    the n-ary clone restricted to them, with up to two values overwritten,
+    or uniformly random ones; so that both verdicts of each check come up."""
+    indices = sorted(map(all_tuples(n).index, points))
+    size = len(indices)
+    member = st.sampled_from(clone_closure(n).maps).map(lambda m: [m[i] for i in indices])
+    edits = st.lists(
+        st.tuples(st.integers(0, size - 1), st.sampled_from(ELEMENTS)), max_size=2
+    )
+
+    def edit(pair):
+        values, changes = pair
+        for i, v in changes:
+            values[i] = v
+        return tuple(values)
+
+    random = st.lists(st.sampled_from(ELEMENTS), min_size=size, max_size=size)
+    return st.one_of(st.tuples(member, edits).map(edit), random.map(tuple))
+
+
+def _partial_op(domain_mask, values):
+    defined = tuple(v if domain_mask >> x & 1 else None for x, v in enumerate(values))
+    return PartialOp("drawn", BinaryRelation(domain_mask), defined)
+
+
+# Any relation and any partial operation, beyond the paper's: on r1-r3 and
+# the named operations over full powers, a check that took an undefined
+# pair for one with value 0, or a 1 for an h, would still give the right
+# verdicts.
+drawn_relations = st.integers(0, 511).map(BinaryRelation)
+drawn_ops = st.builds(
+    _partial_op,
+    st.integers(0, 511),
+    st.lists(st.sampled_from(ELEMENTS), min_size=9, max_size=9),
+)
+
+full_power_maps = st.sampled_from((1, 2, 3)).flatmap(
+    lambda n: st.tuples(st.just(n), _near_homs(n, all_tuples(n)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_power_maps, drawn_relations, drawn_ops)
+def test_preserves_checks_match_naive_filter_on_full_powers(case, drawn_rel, drawn_op):
+    n, values = case
+    space = POWERS[n]
+    table = TritTable(n, values)
+    for rel in RELATIONS + (drawn_rel,):
+        expected = _naive_preserves_relation(values, rel, space)
+        assert preserves_relation(values, rel, space) is expected
+        assert preserves_relation(table, rel, space) is expected
+    for op in OPERATIONS + (drawn_op,):
+        expected = _naive_preserves_partial_op(values, op, space)
+        assert preserves_partial_op(values, op, space) is expected
+        assert preserves_partial_op(table, op, space) is expected
+
+
+proper_carrier_maps = st.sampled_from((1, 2, 3)).flatmap(
+    lambda n: st.sets(st.sampled_from(all_tuples(n)), min_size=1).flatmap(
+        lambda points: st.tuples(st.just(points), _near_homs(n, points))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(proper_carrier_maps, drawn_relations, drawn_ops)
+def test_preserves_checks_match_naive_filter_on_proper_carriers(case, drawn_rel, drawn_op):
+    points, values = case
+    # The carrier need not be closed under an operation: a result outside
+    # it fails the check.
+    space = StructuredSpace.from_points(points)
+    for rel in RELATIONS + (drawn_rel,):
+        assert preserves_relation(values, rel, space) is _naive_preserves_relation(
+            values, rel, space
+        )
+    for op in OPERATIONS + (drawn_op,):
+        assert preserves_partial_op(values, op, space) is _naive_preserves_partial_op(
+            values, op, space
+        )
+
+
+def test_preserves_checks_refuse_maps_that_do_not_fit_the_carrier():
+    diagonal = StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE)])
+    table = TritTable.projection(1, 1)
+    for check, structure in ((preserves_relation, R1), (preserves_partial_op, LAMBDA1)):
+        with pytest.raises(ValueError, match="table maps do not match this carrier"):
+            check(table, structure, diagonal)  # a table on a proper carrier
+        with pytest.raises(ValueError, match="table maps do not match this carrier"):
+            check(table, structure, POWERS[2])  # a table of another arity
+        with pytest.raises(ValueError, match="assignment has 2 values for a carrier of 3"):
+            check((ZERO, H), structure, diagonal)

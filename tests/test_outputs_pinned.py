@@ -8,9 +8,10 @@ masks; homs --n 3 when its pin moved over from the benchmark) and must
 never be regenerated from changed code: a refactor that changes any
 exported byte fails here.  The arity-3 chi lattice (775 tables) and the
 dimension-7 hairy cube (256 elements) are the pinned orders with hundreds
-of elements; they add about 2 s, and homs --n 3 about 0.8 s more.  The
-benchmark pins verify all, homs --n 3 and the dimension-7 cube with the
-same digests.
+of elements; they add about 2 s.  homs --n 3 adds about 0.3 s, and its
+strong variant, whose digest is read from the benchmark's homs-n3-strong
+request, about 0.7 s.  The benchmark pins verify all, homs --n 3 and the
+dimension-7 cube with the same digests.
 """
 
 import hashlib
@@ -63,14 +64,28 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED))
-def test_cli_output_matches_pinned_digest(command):
+def _stdout(argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("HAIRYCUBE_")}
     result = subprocess.run(
-        [sys.executable, "-m", "hairycube.cli", *command.split()],
+        [sys.executable, "-m", "hairycube.cli", *argv],
         capture_output=True,
         env=env,
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr.decode()
-    assert hashlib.sha256(result.stdout).hexdigest() == PINNED[command]
+    return result.stdout
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_cli_output_matches_pinned_digest(command):
+    assert hashlib.sha256(_stdout(command.split())).hexdigest() == PINNED[command]
+
+
+def test_strong_homs_n3_matches_the_benchmark_pin(workloads):
+    # homs --n 3 --variant strong --format json, pinned by the benchmark's
+    # hand-run homs-n3-strong request and read from there.
+    strong = workloads.HOMS_N3_STRONG
+    assert strong.argv == ("homs", "--n", "3", "--variant", "strong", "--format", "json")
+    out = _stdout(strong.argv)
+    assert hashlib.sha256(out).hexdigest() == strong.sha256
+    assert strong.count_of(out) == strong.count == 775
