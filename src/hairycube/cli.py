@@ -2,7 +2,7 @@
 
 Three subcommands: ``homs`` enumerates a hom-set, ``verify`` runs named
 check suites, ``render`` emits JSON or DOT for the catalogued objects.
-All output is deterministic for a fixed configuration.
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -11,9 +11,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import Config
 from .duality import VARIANTS, homs_for_variant, variant
-from .homsets import CapExceededError, HomSet, clone_closure, preserves_partial_op, preserves_relation
+from .homsets import (
+    DEFAULT_CARRIER_CAP,
+    CapExceededError,
+    HomSet,
+    clone_closure,
+    preserves_partial_op,
+    preserves_relation,
+)
 from .render import RENDERABLES, dumps, homset_payload, homset_text
 from .verify import SUITES, report_lines, reports_payload, run_suite
 
@@ -28,13 +34,14 @@ def _emit(text: str, out: Path | None, filename: str) -> None:
     print(target)
 
 
-def _homs(n: int, variant_name: str, config: Config) -> tuple[HomSet, str]:
-    """Search directly when the carrier fits the cap, otherwise take the
-    term clone and keep the tables preserving the variant's structure."""
+def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
+    """Search directly when the carrier fits the cap (n <= 2), otherwise
+    take the term clone (n = 3) and keep the tables preserving the
+    variant's structure."""
     variant(variant_name)
-    if 3 ** n <= config.carrier_cap:
-        return homs_for_variant(n, variant_name, carrier_cap=config.carrier_cap), "search"
-    clone = clone_closure(n, arity_cap=config.clone_arity_cap)
+    if 3 ** n <= DEFAULT_CARRIER_CAP:
+        return homs_for_variant(n, variant_name), "search"
+    clone = clone_closure(n)
     var = VARIANTS[variant_name]
     space = var.power_space(n)
     kept = tuple(
@@ -49,8 +56,8 @@ def _homs(n: int, variant_name: str, config: Config) -> tuple[HomSet, str]:
     return HomSet(space, kept), "clone-filter"
 
 
-def cmd_homs(args: argparse.Namespace, config: Config) -> int:
-    homset, method = _homs(args.n, args.variant, config)
+def cmd_homs(args: argparse.Namespace) -> int:
+    homset, method = _homs(args.n, args.variant)
     if args.format == "json":
         text = dumps(homset_payload(homset, args.variant, method))
         ext = "json"
@@ -61,7 +68,7 @@ def cmd_homs(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: Config) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, args.n)
     if args.format == "json":
         text = dumps(reports_payload(reports))
@@ -73,7 +80,7 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_render(args: argparse.Namespace, config: Config) -> int:
+def cmd_render(args: argparse.Namespace) -> int:
     payload_fn, dot_fn, needs_n = RENDERABLES[args.target]
     stem = args.target.replace("-", "_")
     if needs_n:
@@ -135,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config.from_env()
-        return args.fn(args, config)
+        return args.fn(args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2

@@ -232,8 +232,6 @@ def ji_meet_formula_check(n: int) -> bool:
 
     Distinctness matters: a hair meets itself to itself, above h.
     """
-    if n > 3:
-        raise ValueError("checked up to dimension 3")
     cube = hairy_cube_recursive(n)
     tables = [e.table for e in cube.elements]
     h_const = TritTable.constant(n, H)

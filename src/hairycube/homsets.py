@@ -46,11 +46,7 @@ DEFAULT_CLONE_ARITY_CAP = 3
 
 
 class CapExceededError(ValueError):
-    """Raised when a requested enumeration exceeds the configured cap."""
-
-    def __init__(self, message: str, required_candidates: int | None = None):
-        super().__init__(message)
-        self.required_candidates = required_candidates
+    """Raised when a requested enumeration exceeds its fixed cap."""
 
 
 @dataclass(frozen=True)
@@ -289,8 +285,7 @@ def enumerate_homs_bruteforce(
     if space.size > carrier_cap:
         raise CapExceededError(
             f"carrier has {space.size} points (cap {carrier_cap}); "
-            f"enumeration would require 3^{space.size} = {3 ** space.size} candidates",
-            required_candidates=3 ** space.size,
+            f"enumeration would require 3^{space.size} = {3 ** space.size} candidates"
         )
     checks = _compile_checks(space)
     maps = tuple(_search_assignments(space.size, checks))
@@ -333,12 +328,12 @@ def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
     return tuple(sorted(TritTable.from_planes(n, *t).entries for t in elems))
 
 
-def clone_closure(n: int, arity_cap: int = DEFAULT_CLONE_ARITY_CAP) -> HomSet:
+def clone_closure(n: int) -> HomSet:
     """Least set of n-ary tables containing projections and constants and
     closed under pointwise meet, join and bar."""
-    if n > arity_cap:
+    if n > DEFAULT_CLONE_ARITY_CAP:
         raise CapExceededError(
-            f"clone closure requested at arity {n} exceeds the cap {arity_cap}"
+            f"clone closure requested at arity {n} exceeds the cap {DEFAULT_CLONE_ARITY_CAP}"
         )
     if n < 0:
         raise ValueError("arity must be nonnegative")

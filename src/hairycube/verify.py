@@ -1,7 +1,7 @@
 """Named verification suites over the library, with certificate payloads.
 
 Each check records a machine-checkable claim, its outcome and a small
-certificate.  Reports are deterministic: same config, same bytes.
+certificate.  Reports are deterministic: same input, same bytes.
 """
 
 from __future__ import annotations

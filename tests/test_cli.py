@@ -9,24 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from hairycube.cli import main
+from hairycube.cli import _homs, main
+from hairycube.duality import VARIANTS, homs_for_variant
 
 UNARY = ["000", "0hh", "0h1", "hhh", "hh1", "11h", "111"]
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def clean_env():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HAIRYCUBE_")}
-    return env
-
-
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hairycube.cli", *args],
         capture_output=True,
         text=True,
-        env=env or clean_env(),
         cwd=ROOT,
     )
 
@@ -56,12 +51,12 @@ def test_homs_clone_filter_beyond_cap(capsys):
     assert payload["count"] == 775
 
 
-def test_carrier_cap_env_switches_method(capsys, monkeypatch):
-    monkeypatch.setenv("HAIRYCUBE_CARRIER_CAP", "27")
-    assert main(["homs", "--n", "3", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "search"
-    assert payload["count"] == 775
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_clone_filter_matches_search_at_arity_three(name):
+    homset, method = _homs(3, name)
+    assert method == "clone-filter"
+    assert homset.maps == homs_for_variant(3, name, carrier_cap=27).maps
+    assert len(homset.maps) == 775
 
 
 def test_variants_give_same_maps(capsys):
@@ -105,17 +100,9 @@ def test_render_cube_dimension_cap_exit_code(capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-def test_bad_env_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("HAIRYCUBE_CARRIER_CAP", "frogs")
-    assert main(["homs"]) == 2
-    err = capsys.readouterr().err
-    assert "error" in err and "HAIRYCUBE_CARRIER_CAP" in err
-
-
-def test_clone_arity_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("HAIRYCUBE_CLONE_ARITY_CAP", "2")
-    assert main(["homs", "--n", "3"]) == 2
-    assert "cap exceeded" in capsys.readouterr().err
+def test_negative_arity_exit_code(capsys):
+    assert main(["homs", "--n", "-1"]) == 2
+    assert capsys.readouterr().err == "error: arity must be nonnegative\n"
 
 
 def test_render_json_targets(capsys):
@@ -192,7 +179,7 @@ def test_console_entry_matches_module_invocation():
         runs.append([installed, *args])
     for argv in runs:
         by_entry = subprocess.run(
-            argv, capture_output=True, text=True, env=clean_env(), cwd=ROOT
+            argv, capture_output=True, text=True, cwd=ROOT
         )
         assert by_module.returncode == by_entry.returncode == 0, by_entry.stderr
         assert by_module.stdout == by_entry.stdout
@@ -200,7 +187,7 @@ def test_console_entry_matches_module_invocation():
 
 def script_env():
     """No PYTHONPATH: the scripts must find the package in a fresh checkout."""
-    env = clean_env()
+    env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     return env
 

@@ -22,6 +22,7 @@ from hairycube.cube import (
     pss_homeomorphism,
     verify_hairy_cube,
 )
+from hairycube.homsets import CapExceededError
 from hairycube.posets import FinitePoset
 
 UNARY_JI = ("0hh", "0h1", "hhh", "11h")
@@ -193,14 +194,15 @@ def test_dimension_three_figure():
 
 
 def test_ji_meet_formula():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         assert ji_meet_formula_check(n)
     # the distinctness hypothesis is necessary: a hair is its own meet
     hair = TritTable.from_string("0h1")
     assert hair.meet(hair) == hair
     assert not hair.leq(TritTable.constant(1, H))
-    with pytest.raises(ValueError):
-        ji_meet_formula_check(4)
+    # the only bound is the cube's own dimension cap
+    with pytest.raises(CapExceededError):
+        ji_meet_formula_check(8)
 
 
 def test_join_irreducibles_of_chi():

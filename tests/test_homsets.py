@@ -126,7 +126,7 @@ def test_carrier_cap_enforced():
     with pytest.raises(CapExceededError):
         enumerate_homs_bruteforce(StructuredSpace.power(3), carrier_cap=12)
     with pytest.raises(CapExceededError):
-        clone_closure(4, arity_cap=3)
+        clone_closure(4)
 
 
 def test_homset_membership_and_lattice():

@@ -64,8 +64,7 @@ PINNED = {
 }
 
 
-def _stdout(argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HAIRYCUBE_")}
+def _stdout(argv, env=None):
     result = subprocess.run(
         [sys.executable, "-m", "hairycube.cli", *argv],
         capture_output=True,
@@ -79,6 +78,14 @@ def _stdout(argv):
 @pytest.mark.parametrize("command", sorted(PINNED))
 def test_cli_output_matches_pinned_digest(command):
     assert hashlib.sha256(_stdout(command.split())).hexdigest() == PINNED[command]
+
+
+def test_homs_n3_ignores_the_old_cap_variables():
+    # The library reads no environment: variables named like caps change
+    # neither the route nor a byte.
+    env = dict(os.environ, HAIRYCUBE_CARRIER_CAP="27", HAIRYCUBE_CLONE_ARITY_CAP="2")
+    out = _stdout(["homs", "--n", "3"], env=env)
+    assert hashlib.sha256(out).hexdigest() == PINNED["homs --n 3"]
 
 
 def test_strong_homs_n3_matches_the_benchmark_pin(workloads):
