@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite and print one line per check.
 
-Exit status is nonzero when any check fails.  Pass --json for the full
-report with certificates.
+Exit status is 1 when any check fails and 2 for a bad --n.  Pass --json
+for the full report with certificates.
 """
 
 import argparse
@@ -23,7 +23,11 @@ def main() -> int:
         "--n", type=int, default=None, help="cap the power where a suite scales"
     )
     args = parser.parse_args()
-    reports = run_suite("all", args.n)
+    try:
+        reports = run_suite("all", args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         sys.stdout.write(dumps(reports_payload(reports)))
     else:

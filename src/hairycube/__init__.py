@@ -53,7 +53,7 @@ from .homsets import (
     enumerate_homs_bruteforce,
     lift,
 )
-from .posets import FiniteLattice, FinitePoset
+from .posets import FinitePoset
 from .relations import (
     R1,
     R2,
@@ -107,7 +107,6 @@ __all__ = [
     "clone_closure",
     "enumerate_homs_bruteforce",
     "lift",
-    "FiniteLattice",
     "FinitePoset",
     "R1",
     "R2",

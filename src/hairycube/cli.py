@@ -48,10 +48,7 @@ def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
         t.entries
         for t in clone.tables()
         if all(preserves_relation(t, rel, space) for rel in var.relations)
-        and all(
-            preserves_partial_op(t, op, space)
-            for op in var.partial_ops + var.total_ops
-        )
+        and all(preserves_partial_op(t, op, space) for op in var.partial_ops)
     )
     return HomSet(space, kept), "clone-filter"
 

@@ -15,10 +15,10 @@ from itertools import combinations, product
 
 from .core import ELEMENTS, Element, H, TritTable
 from .homsets import CapExceededError, assemble, clone_closure, slice_first
-from .posets import FiniteLattice, FinitePoset
+from .posets import FinitePoset
 
 
-def join_irreducibles(lattice: FiniteLattice) -> FinitePoset:
+def join_irreducibles(lattice: FinitePoset) -> FinitePoset:
     """Induced poset of elements with exactly one lower cover."""
     return lattice.induced(lattice.join_irreducible_indices())
 
@@ -334,7 +334,7 @@ def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult
     return PssResult(True, None, mapping)
 
 
-def chi_lattice(n: int) -> FiniteLattice:
+def chi_lattice(n: int) -> FinitePoset:
     """The n-ary hom-set as a lattice of tables under the pointwise order."""
     return clone_closure(n).lattice()
 

@@ -111,24 +111,23 @@ _CONSTANTS = tuple(BinaryRelation.from_pairs([(c, c)]) for c in ELEMENTS)
 
 @dataclass(frozen=True)
 class StructureVariant:
-    """A choice of relations, partial operations and total operations on S."""
+    """A choice of relations and partial operations on S."""
 
     name: str
     relations: tuple[BinaryRelation, ...]
     partial_ops: tuple[PartialOp, ...] = ()
-    total_ops: tuple[PartialOp, ...] = ()
 
     def power_space(self, n: int) -> StructuredSpace:
-        return StructuredSpace.power(
-            n, self.relations, self.partial_ops + self.total_ops
-        )
+        return StructuredSpace.power(n, self.relations, self.partial_ops)
 
 
+# pi1 and pi2 are left out of `strong`: f(pi1(u, v)) = f(u) = pi1(f(u), f(v))
+# for every map f, so the projections constrain nothing.
 VARIANTS: dict[str, StructureVariant] = {
     v.name: v
     for v in (
         StructureVariant("relational", (R1, R2, R3)),
-        StructureVariant("strong", (R1, R2, R3), (LAMBDA1, LAMBDA2), (PI1, PI2)),
+        StructureVariant("strong", (R1, R2, R3), (LAMBDA1, LAMBDA2)),
         StructureVariant("strong-min", (R1, R2, R3), (LAMBDA1,)),
         StructureVariant("optimal-strong", (R2,), (LAMBDA1,)),
     )
@@ -393,9 +392,7 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
 
     var = variant(variant_name)
     duals = algebra_homs(carrier)
-    dual_space = StructuredSpace.from_points(
-        duals, var.relations, var.partial_ops + var.total_ops
-    )
+    dual_space = StructuredSpace.from_points(duals, var.relations, var.partial_ops)
     double_dual = enumerate_homs_bruteforce(dual_space)
 
     evaluations = [tuple(f[i] for f in dual_space.carrier) for i in range(len(carrier))]
@@ -430,8 +427,6 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
 def persistence_check(n: int) -> bool:
     """The optimal strong structure has the same morphisms S^n -> S as the
     full relational one, and the same join-irreducible geometry."""
-    if n > 2:
-        raise CapExceededError(f"persistence check capped at power 2, got {n}")
     homs = homs_for_variant(n, "optimal-strong")
     clone = clone_closure(n)
     if set(homs.maps) != set(clone.maps):

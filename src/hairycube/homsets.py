@@ -38,7 +38,7 @@ from .core import (
     planes,
     ZERO,
 )
-from .posets import FiniteLattice
+from .posets import FinitePoset
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
 DEFAULT_CARRIER_CAP = 12
@@ -224,10 +224,10 @@ class HomSet:
             raise ValueError("maps of a proper carrier are not n-ary tables")
         return tuple(TritTable(self.source.arity, m) for m in self.maps)
 
-    def lattice(self) -> FiniteLattice:
+    def lattice(self) -> FinitePoset:
         """The tables under the pointwise order."""
         tables = self.tables()
-        return FiniteLattice.from_masks(tables, [t.order_mask for t in tables])
+        return FinitePoset.from_masks(tables, [t.order_mask for t in tables])
 
 
 def _compile_checks(space: StructuredSpace):

@@ -1,4 +1,4 @@
-"""Small finite posets and lattices over explicit element tuples.
+"""Small finite posets over explicit element tuples.
 
 The package's orders are inclusions of bit masks (table planes, relation
 masks, cube coordinates, opens), built by `from_masks`; `from_leq` takes any
@@ -19,9 +19,13 @@ def _bits(mask: int):
 
 
 class FinitePoset:
-    """Finite poset; `down[i]` is the bit mask of indices weakly below i."""
+    """Finite poset; `down[i]` is the bit mask of indices weakly below i.
 
-    def __init__(self, elements: Sequence, down: Sequence[int], validate: bool = True):
+    The rows are taken as given: `from_masks` and `induced` give partial
+    orders by construction, and `from_leq` checks the relation it is given.
+    """
+
+    def __init__(self, elements: Sequence, down: Sequence[int]):
         self._elements = tuple(elements)
         self._down = tuple(down)
         self._index = {e: i for i, e in enumerate(self._elements)}
@@ -35,8 +39,6 @@ class FinitePoset:
             for j in _bits(self._down[i]):
                 self._up[j] |= 1 << i
         self._up = tuple(self._up)
-        if validate:
-            self._check_partial_order()
         self._covers: tuple[tuple[int, int], ...] | None = None
 
     def _check_partial_order(self) -> None:
@@ -51,7 +53,9 @@ class FinitePoset:
                     raise ValueError("order is not transitive")
 
     @classmethod
-    def from_leq(cls, elements: Sequence, leq: Callable, validate: bool = True):
+    def from_leq(cls, elements: Sequence, leq: Callable):
+        """The order `leq(x, y)` on `elements`; ValueError unless it is a
+        partial order."""
         elements = tuple(elements)
         down = []
         for x in elements:
@@ -60,7 +64,9 @@ class FinitePoset:
                 if leq(y, x):
                     mask |= 1 << j
             down.append(mask)
-        return cls(elements, down, validate=validate)
+        poset = cls(elements, down)
+        poset._check_partial_order()
+        return poset
 
     @classmethod
     def from_masks(cls, elements: Sequence, masks: Sequence[int]):
@@ -73,7 +79,7 @@ class FinitePoset:
             sum(1 << j for j, x in enumerate(masks) if not x & outside)
             for outside in [~m for m in masks]
         ]
-        return cls(elements, down, validate=False)
+        return cls(elements, down)
 
     @property
     def n(self) -> int:
@@ -120,6 +126,11 @@ class FinitePoset:
         self.cover_index_pairs()
         return self._upper_covers[i]
 
+    def join_irreducible_indices(self) -> tuple[int, ...]:
+        return tuple(
+            i for i in range(self.n) if len(self.lower_cover_indices(i)) == 1
+        )
+
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
@@ -147,9 +158,7 @@ class FinitePoset:
                 if j in pos:
                     mask |= 1 << pos[j]
             down.append(mask)
-        return FinitePoset(
-            tuple(self._elements[i] for i in indices), down, validate=False
-        )
+        return FinitePoset(tuple(self._elements[i] for i in indices), down)
 
     def downset_masks(self) -> tuple[int, ...]:
         """All downsets as bit masks, sorted by (size, mask)."""
@@ -241,40 +250,3 @@ class FinitePoset:
 
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n})"
-
-
-class FiniteLattice(FinitePoset):
-    """Finite poset with unique binary meets and joins."""
-
-    def __init__(self, elements, down, validate: bool = True):
-        super().__init__(elements, down, validate=validate)
-        self._meet_cache: dict[tuple[int, int], int] = {}
-        self._join_cache: dict[tuple[int, int], int] = {}
-
-    def _extreme(self, i: int, j: int, rows, cache) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key in cache:
-            return cache[key]
-        common = rows[i] & rows[j]
-        best = [k for k in _bits(common) if common & ~rows[k] == 0]
-        if len(best) != 1:
-            raise ValueError("not a lattice: bound is not unique")
-        cache[key] = best[0]
-        return best[0]
-
-    def meet_index(self, i: int, j: int) -> int:
-        return self._extreme(i, j, self._down, self._meet_cache)
-
-    def join_index(self, i: int, j: int) -> int:
-        return self._extreme(i, j, self._up, self._join_cache)
-
-    def meet(self, x, y):
-        return self._elements[self.meet_index(self.index(x), self.index(y))]
-
-    def join(self, x, y):
-        return self._elements[self.join_index(self.index(x), self.index(y))]
-
-    def join_irreducible_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.n) if len(self.lower_cover_indices(i)) == 1
-        )

@@ -25,7 +25,7 @@ from .core import (
     tuple_join,
     tuple_meet,
 )
-from .posets import FiniteLattice
+from .posets import FinitePoset
 
 PAIRS: tuple[tuple[Element, Element], ...] = all_tuples(2)
 
@@ -167,7 +167,7 @@ def is_subuniverse(subset: SubsetLike, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_subalgebras() -> FiniteLattice:
+def enumerate_subalgebras() -> FinitePoset:
     """Brute force over all 2^9 subsets of S^2, keeping the subuniverses;
     the inclusion lattice lists them by (size, mask)."""
     found = []
@@ -176,7 +176,7 @@ def enumerate_subalgebras() -> FiniteLattice:
         if DIAGONAL.issubset(rel) and is_subuniverse(rel, 2):
             found.append(rel)
     found.sort(key=lambda r: (len(r), r.mask))
-    return FiniteLattice.from_masks(found, [r.mask for r in found])
+    return FinitePoset.from_masks(found, [r.mask for r in found])
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +207,7 @@ def canonical_name(r: BinaryRelation) -> str:
 
 
 @lru_cache(maxsize=None)
-def enumerate_congruences() -> FiniteLattice:
+def enumerate_congruences() -> FinitePoset:
     """Compatible equivalence relations on S, by (size, mask), under inclusion."""
     found = [
         BinaryRelation(mask)
@@ -216,7 +216,7 @@ def enumerate_congruences() -> FiniteLattice:
         and is_subuniverse(BinaryRelation(mask), 2)
     ]
     found.sort(key=lambda r: (len(r), r.mask))
-    return FiniteLattice.from_masks(found, [r.mask for r in found])
+    return FinitePoset.from_masks(found, [r.mask for r in found])
 
 
 def meet_irreducible_congruences() -> tuple[BinaryRelation, ...]:

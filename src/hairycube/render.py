@@ -29,17 +29,13 @@ def _quote(label: str) -> str:
     return '"' + label.replace('"', '\\"') + '"'
 
 
-def _dot_digraph(
-    name: str,
-    nodes: list[tuple[str, dict[str, str]]],
-    edges: list[tuple[str, str]],
-) -> str:
+def _poset_dot(name: str, poset: FinitePoset, labels: list[str], filled=()) -> str:
+    """The Hasse diagram, bottom up; the indices in `filled` are shaded."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    for node_id, attrs in nodes:
-        inner = ", ".join(f"{k}={_quote(v)}" for k, v in attrs.items())
-        lines.append(f"  {node_id} [{inner}];")
-    for lo, hi in edges:
-        lines.append(f"  {lo} -> {hi};")
+    for i, label in enumerate(labels):
+        shade = ', style="filled", fillcolor="lightgrey"' if i in filled else ""
+        lines.append(f"  n{i} [label={_quote(label)}{shade}];")
+    lines.extend(f"  n{i} -> n{j};" for i, j in poset.cover_index_pairs())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -100,11 +96,7 @@ def subalgebras_payload() -> dict:
 
 def subalgebras_dot() -> str:
     lat = enumerate_subalgebras()
-    nodes = [
-        (f"n{i}", {"label": canonical_name(r)}) for i, r in enumerate(lat.elements)
-    ]
-    edges = [(f"n{i}", f"n{j}") for i, j in lat.cover_index_pairs()]
-    return _dot_digraph("subalgebras", nodes, edges)
+    return _poset_dot("subalgebras", lat, [canonical_name(r) for r in lat.elements])
 
 
 def congruences_payload() -> dict:
@@ -120,11 +112,7 @@ def congruences_payload() -> dict:
 
 def congruences_dot() -> str:
     lat = enumerate_congruences()
-    nodes = [
-        (f"n{i}", {"label": canonical_name(c)}) for i, c in enumerate(lat.elements)
-    ]
-    edges = [(f"n{i}", f"n{j}") for i, j in lat.cover_index_pairs()]
-    return _dot_digraph("congruences", nodes, edges)
+    return _poset_dot("congruences", lat, [canonical_name(c) for c in lat.elements])
 
 
 def chi_payload(n: int) -> dict:
@@ -143,16 +131,8 @@ def chi_payload(n: int) -> dict:
 
 def chi_dot(n: int) -> str:
     lat = chi_lattice(n)
-    ji = set(lat.join_irreducible_indices())
-    nodes = []
-    for i, t in enumerate(lat.elements):
-        attrs = {"label": str(t)}
-        if i in ji:
-            attrs["style"] = "filled"
-            attrs["fillcolor"] = "lightgrey"
-        nodes.append((f"n{i}", attrs))
-    edges = [(f"n{i}", f"n{j}") for i, j in lat.cover_index_pairs()]
-    return _dot_digraph(f"hom_lattice_{n}", nodes, edges)
+    labels = [str(t) for t in lat.elements]
+    return _poset_dot(f"hom_lattice_{n}", lat, labels, set(lat.join_irreducible_indices()))
 
 
 def hairy_cube_payload(n: int) -> dict:
@@ -178,17 +158,8 @@ def hairy_cube_payload(n: int) -> dict:
 
 def hairy_cube_dot(n: int) -> str:
     cube = hairy_cube_recursive(n)
-    nodes = []
-    for i, e in enumerate(cube.elements):
-        attrs = {"label": e.label}
-        if e.is_base:
-            attrs["style"] = "filled"
-            attrs["fillcolor"] = "lightgrey"
-        nodes.append((f"n{i}", attrs))
-    edges = [
-        (f"n{i}", f"n{j}") for i, j in cube.cover_index_pairs()
-    ]
-    return _dot_digraph(f"hairy_cube_{n}", nodes, edges)
+    base = {i for i, e in enumerate(cube.elements) if e.is_base}
+    return _poset_dot(f"hairy_cube_{n}", cube, [e.label for e in cube.elements], base)
 
 
 RENDERABLES = {

@@ -620,6 +620,8 @@ SUITES = {
 
 def run_suite(name: str, n_max: int | None = None) -> tuple[SuiteReport, ...]:
     """Run one named suite, or all of them."""
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"the power cap n must be at least 1, got {n_max}")
     if name == "all":
         return tuple(fn(n_max) for fn in SUITES.values())
     if name not in SUITES:

@@ -105,6 +105,23 @@ def test_negative_arity_exit_code(capsys):
     assert capsys.readouterr().err == "error: arity must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "birkhoff", "--n", "0"], ["verify", "all", "--n", "-3"]]
+)
+def test_verify_power_cap_below_one_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the power cap n must be at least 1, got {argv[-1]}\n"
+
+
+def test_verify_power_cap_one_runs_its_check(capsys):
+    assert main(["verify", "birkhoff", "--n", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS  birkhoff/downset-count-n1:")
+    assert lines[-1] == "1/1 checks passed"
+
+
 def test_render_json_targets(capsys):
     for target, n_args in (
         ("chi", ["--n", "1"]),
@@ -204,13 +221,28 @@ def test_run_all_checks_script():
     assert "FAIL" not in proc.stdout
 
 
-def test_render_figures_script(tmp_path):
+def test_run_all_checks_script_refuses_a_power_cap_below_one(capsys):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_checks.py"), "--n", "0"],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+        cwd=ROOT,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert main(["verify", "all", "--n", "0"]) == 2
+    assert proc.stderr == capsys.readouterr().err
+
+
+def test_render_figures_script(tmp_path, capsys):
+    figures, by_cli = tmp_path / "figures", tmp_path / "cli"
     proc = subprocess.run(
         [
             sys.executable,
             str(ROOT / "scripts" / "render_figures.py"),
             "--out",
-            str(tmp_path),
+            str(figures),
         ],
         capture_output=True,
         text=True,
@@ -218,6 +250,17 @@ def test_render_figures_script(tmp_path):
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    written = {p.name for p in tmp_path.iterdir()}
+    written = sorted(p.name for p in figures.iterdir())
     assert "hairy_cube_n3.dot" in written
     assert "subalgebras.json" in written
+    assert len(written) == 14
+    # every file again through `render`, named by the CLI from its arguments
+    for name in written:
+        stem, fmt = name.rsplit(".", 1)
+        base, _, n = stem.partition("_n")
+        argv = ["render", base.replace("_", "-"), "--format", fmt, "--out", str(by_cli)]
+        assert main(argv + (["--n", n] if n else [])) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in by_cli.iterdir()) == written
+    for name in written:
+        assert (figures / name).read_bytes() == (by_cli / name).read_bytes(), name

@@ -49,7 +49,6 @@ def test_recursive_equals_extracted():
         mirrored = FinitePoset.from_leq(
             [relabel[t.entries] for t in ext.elements],
             lambda x, y: x.table.leq(y.table),
-            validate=False,
         )
         assert mirrored == rec
 

@@ -80,7 +80,8 @@ def test_variant_structures():
     assert set(VARIANTS) == {"relational", "strong", "strong-min", "optimal-strong"}
     assert variant("relational").relations == (R1, R2, R3)
     assert variant("strong").partial_ops == (LAMBDA1, LAMBDA2)
-    assert variant("strong").total_ops == (PI1, PI2)
+    # the projections are not part of any variant: they constrain no map
+    assert variant("strong").power_space(1).partial_ops == (LAMBDA1, LAMBDA2)
     assert variant("strong-min").partial_ops == (LAMBDA1,)
     assert variant("optimal-strong").relations == (R2,)
     assert variant("optimal-strong").partial_ops == (LAMBDA1,)

@@ -2,7 +2,7 @@
 
 The digests were taken from the command line before the tables moved to
 bit planes (the subalgebra, congruence, chi JSON and verify-all digests
-before the lattice code was merged into FiniteLattice; the arity-3 chi and
+before the lattice code was merged into one class; the arity-3 chi and
 dimension-7 cube digests before every order was built from inclusion
 masks; homs --n 3 when its pin moved over from the benchmark) and must
 never be regenerated from changed code: a refactor that changes any

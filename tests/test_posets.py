@@ -4,7 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube.posets import FiniteLattice, FinitePoset
+from hairycube.posets import FinitePoset
+
+
+def greatest_lower_bound(p: FinitePoset, i: int, j: int) -> int:
+    """The index of the meet of i and j, read off `leq_by_index`; asserts
+    that it exists and is unique."""
+    common = [k for k in range(p.n) if p.leq_by_index(k, i) and p.leq_by_index(k, j)]
+    best = [k for k in common if all(p.leq_by_index(c, k) for c in common)]
+    assert len(best) == 1, "no unique greatest lower bound"
+    return best[0]
+
+
+def least_upper_bound(p: FinitePoset, i: int, j: int) -> int:
+    """The index of the join of i and j, read off `leq_by_index`; asserts
+    that it exists and is unique."""
+    common = [k for k in range(p.n) if p.leq_by_index(i, k) and p.leq_by_index(j, k)]
+    best = [k for k in common if all(p.leq_by_index(k, c) for c in common)]
+    assert len(best) == 1, "no unique least upper bound"
+    return best[0]
 
 
 def divides(a, b):
@@ -69,7 +87,7 @@ def test_downsets_of_chain_and_antichain():
 
 
 def test_downset_cap():
-    big = FinitePoset.from_leq(range(21), lambda x, y: x == y, validate=False)
+    big = FinitePoset.from_leq(range(21), lambda x, y: x == y)
     with pytest.raises(ValueError):
         big.downset_masks()
 
@@ -99,17 +117,12 @@ def test_poset_equality_is_by_relation():
 
 
 def test_lattice_meets_and_joins():
-    lat = FiniteLattice.from_leq([1, 2, 3, 6], divides)
-    assert lat.meet(2, 3) == 1
-    assert lat.join(2, 3) == 6
-    assert lat.meet_index(lat.index(6), lat.index(2)) == lat.index(2)
-    assert lat.join_irreducible_indices() == (lat.index(2), lat.index(3))
-
-
-def test_non_lattice_rejected():
-    # two maximal elements have no join
-    with pytest.raises(ValueError):
-        FiniteLattice.from_leq([1, 2, 3], divides).join(2, 3)
+    lat = FinitePoset.from_leq([1, 2, 3, 6], divides)
+    two, three, six = lat.index(2), lat.index(3), lat.index(6)
+    assert lat.elements[greatest_lower_bound(lat, two, three)] == 1
+    assert lat.elements[least_upper_bound(lat, two, three)] == 6
+    assert greatest_lower_bound(lat, six, two) == two
+    assert lat.join_irreducible_indices() == (two, three)
 
 
 @st.composite
@@ -190,7 +203,8 @@ def test_from_masks_rejects_equal_masks():
 
 
 def test_lattice_from_masks_is_a_lattice():
-    lat = FiniteLattice.from_masks("0abt", [0b00, 0b01, 0b10, 0b11])
-    assert type(lat) is FiniteLattice
-    assert lat.join("a", "b") == "t" and lat.meet("a", "b") == "0"
+    lat = FinitePoset.from_masks("0abt", [0b00, 0b01, 0b10, 0b11])
+    assert type(lat) is FinitePoset
+    assert lat.elements[least_upper_bound(lat, 1, 2)] == "t"
+    assert lat.elements[greatest_lower_bound(lat, 1, 2)] == "0"
     assert lat.join_irreducible_indices() == (1, 2)
