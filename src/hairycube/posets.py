@@ -2,13 +2,30 @@
 
 The package's orders are inclusions of bit masks (table planes, relation
 masks, cube coordinates, opens), built by `from_masks`; `from_leq` takes any
-relation and serves as the reference.  Order rows are bit masks too, which
-keeps covers and downsets cheap.
+relation and serves as the reference.  Order rows are bit masks too: `down[i]`
+holds the indices weakly below i and `up[i]` those weakly above.
+
+Costs, for N elements whose masks are `width` bits wide:
+
+- `from_masks` with `width <= N` transposes the masks once (in C) into their
+  D distinct bit columns and reads both rows off them in N*D steps
+  (D = 16 against N = 775 for the 3-ary hom-set lattice);
+- `from_masks` with wider masks tests all N*N pairs, the smaller cost there
+  (the 7-dimensional hairy cube: N = 256 masks of 4,374 bits, 256 columns),
+  and transposes the down rows into the up rows in C;
+- `from_leq` calls `leq` N*N times;
+- covers peel the maxima off each strict downset, in steps that scale with
+  the covers rather than with the comparable pairs;
+- `downset_masks` stops once it holds more than `DOWNSET_CAP` downsets.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
+
+# Most downsets `downset_masks` builds; an extension step at most doubles
+# the list, so it never holds more than twice this many.
+DOWNSET_CAP = 1 << 20
 
 
 def _bits(mask: int):
@@ -18,14 +35,26 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit i of column c is bit c of rows[i].
+
+    Done on binary strings, so the N * width steps run in C.
+    """
+    strings = [format(r, f"0{width}b") for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*strings)][::-1]
+
+
 class FinitePoset:
-    """Finite poset; `down[i]` is the bit mask of indices weakly below i.
+    """Finite poset; `down[i]` and `up[i]` are the bit masks of indices weakly
+    below and weakly above i.
 
     The rows are taken as given: `from_masks` and `induced` give partial
     orders by construction, and `from_leq` checks the relation it is given.
+    `up` is the transpose of `down`, computed from it when not given.
     """
 
-    def __init__(self, elements: Sequence, down: Sequence[int]):
+    def __init__(self, elements: Sequence, down: Sequence[int],
+                 up: Sequence[int] | None = None):
         self._elements = tuple(elements)
         self._down = tuple(down)
         self._index = {e: i for i, e in enumerate(self._elements)}
@@ -33,12 +62,7 @@ class FinitePoset:
             raise ValueError("duplicate elements")
         if len(self._down) != len(self._elements):
             raise ValueError("order rows do not match the element count")
-        n = len(self._elements)
-        self._up = [0] * n
-        for i in range(n):
-            for j in _bits(self._down[i]):
-                self._up[j] |= 1 << i
-        self._up = tuple(self._up)
+        self._up = tuple(_transpose(self._down, self.n) if up is None else up)
         self._covers: tuple[tuple[int, int], ...] | None = None
 
     def _check_partial_order(self) -> None:
@@ -57,29 +81,54 @@ class FinitePoset:
         """The order `leq(x, y)` on `elements`; ValueError unless it is a
         partial order."""
         elements = tuple(elements)
-        down = []
-        for x in elements:
+        down, up = [], [0] * len(elements)
+        for i, x in enumerate(elements):
             mask = 0
             for j, y in enumerate(elements):
                 if leq(y, x):
                     mask |= 1 << j
+                    up[j] |= 1 << i
             down.append(mask)
-        poset = cls(elements, down)
+        poset = cls(elements, down, up)
         poset._check_partial_order()
         return poset
 
     @classmethod
     def from_masks(cls, elements: Sequence, masks: Sequence[int]):
-        """x <= y iff masks[x] & ~masks[y] == 0: a partial order unless two
-        masks are equal, which raises ValueError."""
+        """x <= y iff masks[x] & ~masks[y] == 0, for nonnegative masks: a
+        partial order unless two masks are equal, which raises ValueError.
+
+        When the masks are no wider than their count N, the rows come from
+        the D distinct bit columns of the masks (column c holds the
+        elements with bit c) in N*D steps: `up[i]` is the AND of the columns
+        that hold i, and `down[i]` the complement of the OR of those that do
+        not.  Wider masks are tested pairwise, N*N steps, and `up` is the
+        transpose of `down`.
+        """
         masks = tuple(masks)
-        if len(set(masks)) != len(masks):
+        n = len(masks)
+        if len(set(masks)) != n:
             raise ValueError("equal masks: inclusion is not antisymmetric")
-        down = [
-            sum(1 << j for j, x in enumerate(masks) if not x & outside)
-            for outside in [~m for m in masks]
-        ]
-        return cls(elements, down)
+        width = max(masks, default=0).bit_length()
+        if width > n:
+            down = [
+                sum(1 << j for j, x in enumerate(masks) if not x & outside)
+                for outside in [~m for m in masks]
+            ]
+            return cls(elements, down)
+        columns = set(_transpose(masks, width))
+        full = (1 << n) - 1
+        down, up = [], []
+        for i in range(n):
+            bit, above, outside = 1 << i, full, 0
+            for column in columns:
+                if column & bit:
+                    above &= column
+                else:
+                    outside |= column
+            down.append(full & ~outside)
+            up.append(above)
+        return cls(elements, down, up)
 
     @property
     def n(self) -> int:
@@ -105,8 +154,19 @@ class FinitePoset:
         if self._covers is None:
             lower, upper = [], [[] for _ in range(self.n)]
             for i in range(self.n):
-                strict = self._down[i] & ~(1 << i)
-                lower.append(tuple(j for j in _bits(strict) if self._up[j] & ~(1 << j) & strict == 0))
+                # Peel maxima off the strict downset: climb from its highest
+                # index to a maximal element, a lower cover of i, then drop
+                # that cover's downset, which holds no other cover.
+                left, found = self._down[i] & ~(1 << i), []
+                while left:
+                    j = left.bit_length() - 1
+                    above = self._up[j] & left & ~(1 << j)
+                    while above:
+                        j = above.bit_length() - 1
+                        above = self._up[j] & left & ~(1 << j)
+                    found.append(j)
+                    left &= ~self._down[j]
+                lower.append(tuple(sorted(found)))
                 for j in lower[i]:
                     upper[j].append(i)
             self._lower_covers, self._upper_covers = tuple(lower), tuple(map(tuple, upper))
@@ -151,25 +211,30 @@ class FinitePoset:
     def induced(self, indices: Iterable[int]) -> "FinitePoset":
         indices = tuple(indices)
         pos = {old: new for new, old in enumerate(indices)}
-        down = []
-        for i in indices:
-            mask = 0
-            for j in _bits(self._down[i]):
-                if j in pos:
-                    mask |= 1 << pos[j]
-            down.append(mask)
-        return FinitePoset(tuple(self._elements[i] for i in indices), down)
+
+        def restrict(mask: int) -> int:
+            return sum(1 << pos[j] for j in _bits(mask) if j in pos)
+
+        return FinitePoset(
+            tuple(self._elements[i] for i in indices),
+            [restrict(self._down[i]) for i in indices],
+            [restrict(self._up[i]) for i in indices],
+        )
 
     def downset_masks(self) -> tuple[int, ...]:
-        """All downsets as bit masks, sorted by (size, mask)."""
-        if self.n > 20:
-            raise ValueError("downset enumeration capped at 20 elements")
+        """All downsets as bit masks, sorted by (size, mask); ValueError once
+        there are more than `DOWNSET_CAP` of them."""
         # Along a linear extension, extending each downset of the prefix by
         # the next element where allowed gives the downsets of the longer one.
         masks = [0]
         for i in sorted(range(self.n), key=lambda i: bin(self._down[i]).count("1")):
             strict = self._down[i] & ~(1 << i)
             masks += [m | 1 << i for m in masks if m & strict == strict]
+            if len(masks) > DOWNSET_CAP:
+                raise ValueError(
+                    f"cap exceeded: more than {DOWNSET_CAP} downsets of a "
+                    f"{self.n}-element poset"
+                )
         masks.sort(key=lambda m: (bin(m).count("1"), m))
         return tuple(masks)
 

@@ -436,7 +436,7 @@ def suite_birkhoff(n_max: int | None = None) -> SuiteReport:
     expected = {1: 7, 2: 35, 3: 775}
     for n in range(1, n_max + 1):
         clone_size = len(clone_closure(n))
-        downsets = len(hairy_cube_recursive(n).downsets())
+        downsets = len(hairy_cube_recursive(n).downset_masks())
         checks.append(
             Check(f"downset-count-n{n}",
                   f"|hom-set| at arity {n} equals the downset count of its "

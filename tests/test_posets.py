@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hairycube import posets
+from hairycube.cube import hairy_cube_recursive
 from hairycube.posets import FinitePoset
 
 
@@ -90,6 +92,18 @@ def test_downset_cap():
     big = FinitePoset.from_leq(range(21), lambda x, y: x == y)
     with pytest.raises(ValueError):
         big.downset_masks()
+
+
+def test_downset_cap_counts_downsets_not_elements(monkeypatch):
+    chain = FinitePoset.from_leq(range(30), lambda x, y: x <= y)
+    assert len(chain.downset_masks()) == 31
+    # 32 elements, 319,107 downsets: the hom-set size at arity 4
+    assert len(hairy_cube_recursive(4).downset_masks()) == 319_107
+    monkeypatch.setattr(posets, "DOWNSET_CAP", 7)
+    assert len(FinitePoset.from_leq(range(6), lambda x, y: x <= y).downset_masks()) == 7
+    anti = FinitePoset.from_leq(range(3), lambda x, y: x == y)
+    with pytest.raises(ValueError, match="cap exceeded"):
+        anti.downset_masks()
 
 
 def test_isomorphism_found_and_refused():
@@ -193,6 +207,78 @@ def test_from_masks_matches_inclusion_through_from_leq(masks):
     assert p.elements == q.elements
     assert [p.down_mask(i) for i in range(p.n)] == [q.down_mask(i) for i in range(q.n)]
     assert p.cover_index_pairs() == q.cover_index_pairs()
+
+
+def transposed(rows):
+    """Naive bit-matrix transpose of square order rows."""
+    return tuple(
+        sum(1 << j for j in range(len(rows)) if rows[j] >> i & 1)
+        for i in range(len(rows))
+    )
+
+
+@st.composite
+def narrow_or_wide_masks(draw):
+    # Up to 40 masks of at most 6 bits take the column path of `from_masks`
+    # once there are at least as many masks as bits, and the pairwise path
+    # below that; `distinct_masks` gives masks wider than their count.
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 40))
+        return draw(
+            st.lists(st.integers(0, 63), unique=True, min_size=size, max_size=size)
+        )
+    return draw(distinct_masks())
+
+
+@given(narrow_or_wide_masks(), st.randoms(use_true_random=False))
+def test_order_rows_of_both_from_masks_paths_match_from_leq(masks, rng):
+    elements = [f"e{i}" for i in range(len(masks))]
+    mask_of = dict(zip(elements, masks))
+    p = FinitePoset.from_masks(elements, masks)
+    q = FinitePoset.from_leq(elements, lambda x, y: mask_of[x] & ~mask_of[y] == 0)
+    assert (p._down, p._up) == (q._down, q._up)
+    # a shuffled subset, so that `induced` renumbers as well as restricts
+    kept = rng.sample(range(len(masks)), rng.randint(0, len(masks)))
+    r = p.induced(kept)
+    ref = FinitePoset.from_leq(
+        [elements[i] for i in kept], lambda x, y: mask_of[x] & ~mask_of[y] == 0
+    )
+    assert (r._down, r._up) == (ref._down, ref._up)
+    for poset in (p, q, r):
+        assert poset._up == transposed(poset._down)
+
+
+@st.composite
+def shuffled_orders(draw):
+    """A random order on 0..n-1 (its edges go up in label), listed in a
+    shuffled order, so that index order is seldom a linear extension."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    above = [{x} for x in range(n)]
+    for (a, b), edge in reversed(list(zip(pairs, edges))):
+        if edge:
+            above[a] |= above[b]
+    return draw(st.permutations(range(n))), above
+
+
+@given(shuffled_orders())
+def test_covers_match_the_transitive_reduction(case):
+    labels, above = case
+    p = FinitePoset.from_leq(labels, lambda x, y: y in above[x])
+    leq = p.leq_by_index
+    reduction = tuple(
+        (j, i)
+        for j in range(p.n)
+        for i in range(p.n)
+        if j != i
+        and leq(j, i)
+        and not any(k not in (i, j) and leq(j, k) and leq(k, i) for k in range(p.n))
+    )
+    assert p.cover_index_pairs() == reduction
+    for i in range(p.n):
+        assert p.lower_cover_indices(i) == tuple(j for j, k in reduction if k == i)
+        assert p.upper_cover_indices(i) == tuple(k for j, k in reduction if j == i)
 
 
 def test_from_masks_rejects_equal_masks():
