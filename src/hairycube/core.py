@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache, total_ordering
 from itertools import product
-from operator import add
 from typing import Callable
 
 
@@ -119,7 +118,7 @@ def tuple_index(args: tuple[Element, ...]) -> int:
 # Byte translations between entry codes 0, 1, 2 and the two bit planes.
 _GE_H_BIT = bytes.maketrans(b"\0\1\2", b"011")
 _GE_1_BIT = bytes.maketrans(b"\0\1\2", b"001")
-_BIT_SUM = bytes.maketrans(b"`ab", b"\0\1\2")  # ord("0") + ord("0") == ord("`")
+_HEX_CODES = bytes.maketrans(b"012", b"\0\1\2")
 _CHARS = bytes.maketrans(b"\0\1\2", b"0h1")
 
 
@@ -135,8 +134,8 @@ def planes(codes) -> tuple[int, int]:
 class TritTable:
     """Total map S^arity -> S as two bit planes over the 3^arity canonical
     argument positions: bit i of `ge_h` is set when entry i is h or 1, bit i
-    of `ge_1` when it is 1.  `entries` and `str()` are memoised views; order
-    is lexicographic on (arity, entries)."""
+    of `ge_1` when it is 1.  `entries` and `str()` are memoised views, decoded
+    one hex nibble per entry; order is lexicographic on (arity, entries)."""
 
     arity: int
     ge_h: int
@@ -190,10 +189,11 @@ class TritTable:
         return cls(arity, entries)
 
     def _codes(self) -> bytes:
-        """One byte per entry: its code 0, 1 or 2, in canonical order."""
-        width = 3 ** self.arity
-        h, o = (format(p, f"0{width}b")[::-1].encode() for p in (self.ge_h, self.ge_1))
-        return bytes(map(add, h, o)).translate(_BIT_SUM)
+        """One byte per entry, its code 0, 1 or 2, in canonical order: read as
+        hex, a plane's binary string has bit i in nibble i, so hex digit i of
+        the two planes' sum is entry i's code."""
+        h, o = (int(format(p, "b"), 16) for p in (self.ge_h, self.ge_1))
+        return format(h + o, f"0{3 ** self.arity}x")[::-1].encode().translate(_HEX_CODES)
 
     @property
     def entries(self) -> tuple[Element, ...]:

@@ -102,8 +102,9 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
 
     Dimension 1 is the explicit four-element base case; dimension n glues,
     for each join-irreducible psi one arity down, the tables
-    (0, psi^h, psi) and (psi, psi, psi^h).  Dimensions above
-    MAX_CUBE_DIMENSION raise CapExceededError.
+    (0, psi^h, psi) and (psi, psi, psi^h), whose descriptors prepend p1 and
+    ~p1 to psi's (`polynomial_form` reads them back as the independent check).
+    Dimensions above MAX_CUBE_DIMENSION raise CapExceededError.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -112,17 +113,16 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
             f"hairy cube requested at dimension {n} exceeds the cap {MAX_CUBE_DIMENSION}"
         )
     if n == 1:
-        tables = [TritTable.from_string(s) for s in ("0hh", "hhh", "0h1", "11h")]
+        tables = map(TritTable.from_string, ("0hh", "hhh", "0h1", "11h"))
+        elements = [JIElement(t, *polynomial_form(t, 1)) for t in tables]
     else:
-        tables = []
+        zero = TritTable.constant(n - 1, Element.ZERO)
+        elements = []
         for prev in hairy_cube_recursive(n - 1).elements:
-            psi = prev.table
-            zero = TritTable.constant(n - 1, Element.ZERO)
-            tables.append(assemble(zero, psi.meet_h(), psi))
-            tables.append(assemble(psi, psi, psi.meet_h()))
-    elements = sorted(
-        JIElement(t, *polynomial_form(t, n)) for t in tables
-    )
+            psi, psi_h, eps = prev.table, prev.table.meet_h(), prev.epsilon
+            elements.append(JIElement(assemble(zero, psi_h, psi), (0,) + eps, prev.meet_h))
+            elements.append(JIElement(assemble(psi, psi, psi_h), (1,) + eps, prev.meet_h))
+    elements.sort()
     return FinitePoset.from_masks(elements, [e.table.order_mask for e in elements])
 
 

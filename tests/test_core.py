@@ -1,5 +1,6 @@
 """Element arithmetic and table plumbing."""
 
+import random
 from itertools import product
 
 import pytest
@@ -215,6 +216,26 @@ def test_table_planes_match_tuple_oracle(case):
     if x == y:
         assert hash(a) == hash(b)
     assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_wide_table_decode_matches_calls(n):
+    """`entries` and `str()` of wide tables against per-entry calls: the
+    three constants, random planes, and random planes whose last k entries
+    are 0, so that the leading hex digits of the decode are padding."""
+    width, rng = 3 ** n, random.Random(n)
+    cases = [(t.ge_h, t.ge_1) for t in (TritTable.constant(n, v) for v in ELEMENTS)]
+    for k in (0, 0, 1, 2, 5, width // 2, width - 1, width):
+        keep = (1 << width - k) - 1
+        ge_h = rng.getrandbits(width) & keep
+        cases.append((ge_h, ge_h & rng.getrandbits(width)))
+    for ge_h, ge_1 in cases:
+        t = TritTable.from_planes(n, ge_h, ge_1)
+        calls = tuple(t(*args) for args in all_tuples(n))
+        assert t.entries == calls
+        assert str(t) == "".join(map(str, calls))
+    for v in ELEMENTS:
+        assert TritTable.constant(n, v).entries == (v,) * width
 
 
 @given(st.lists(

@@ -134,9 +134,12 @@ def test_shape_checkers_agree_on_every_induced_subposet():
 
 
 def test_eta_is_the_cube_coordinate():
-    for n in (1, 2, 3):
+    # The constructors carry each descriptor; reading it back off the
+    # table is the independent route.
+    for n in range(1, 8):
         cube = hairy_cube_recursive(n)
         for e in cube.elements:
+            assert polynomial_form(e.table, n) == (e.epsilon, e.meet_h)
             if e.is_base:
                 assert eta(n, e.table) == e.epsilon
     with pytest.raises(ValueError):
@@ -148,7 +151,7 @@ def test_eta_is_the_cube_coordinate():
 
 
 def test_polynomial_roundtrip_all_dimensions():
-    for n in (1, 2, 3):
+    for n in range(1, 8):
         for eps in product((0, 1), repeat=n):
             for flag in (False, True):
                 table = eval_polynomial(eps, flag, n)
