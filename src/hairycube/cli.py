@@ -45,10 +45,9 @@ def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
     var = VARIANTS[variant_name]
     space = var.power_space(n)
     kept = tuple(
-        t.entries
-        for t in clone.tables()
-        if all(preserves_relation(t, rel, space) for rel in var.relations)
-        and all(preserves_partial_op(t, op, space) for op in var.partial_ops)
+        m for m in clone.maps
+        if all(preserves_relation(m, rel, space) for rel in var.relations)
+        and all(preserves_partial_op(m, op, space) for op in var.partial_ops)
     )
     return HomSet(space, kept), "clone-filter"
 

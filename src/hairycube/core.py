@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache, total_ordering
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class Element(IntEnum):
@@ -115,7 +115,7 @@ def tuple_index(args: tuple[Element, ...]) -> int:
     return idx
 
 
-# Byte translations between entry codes 0, 1, 2 and the two bit planes.
+# Byte translations between entry codes 0, 1, 2, bit planes and characters.
 _GE_H_BIT = bytes.maketrans(b"\0\1\2", b"011")
 _GE_1_BIT = bytes.maketrans(b"\0\1\2", b"001")
 _HEX_CODES = bytes.maketrans(b"012", b"\0\1\2")
@@ -127,6 +127,11 @@ def planes(codes) -> tuple[int, int]:
     0, 1, 2: bit i is entry i."""
     bits = bytes(codes)[::-1]  # entry 0 becomes the lowest bit
     return int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
+
+
+def codes_text(codes: bytes) -> str:
+    """Entry codes 0, 1, 2 written as the characters 0, h, 1."""
+    return codes.translate(_CHARS).decode("ascii")
 
 
 @total_ordering
@@ -143,15 +148,15 @@ class TritTable:
     _entries: tuple[Element, ...] | None = field(compare=False, repr=False)
     _text: str | None = field(compare=False, repr=False)
 
-    def __init__(self, arity: int, entries: tuple[Element, ...]) -> None:
+    def __init__(self, arity: int, entries: Iterable[int]) -> None:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        entries = tuple(entries)
-        if len(entries) != 3 ** arity:
+        codes = bytes(entries)
+        if len(codes) != 3 ** arity:
             raise ValueError(
-                f"arity {arity} needs {3 ** arity} entries, got {len(entries)}"
+                f"arity {arity} needs {3 ** arity} entries, got {len(codes)}"
             )
-        self._fill(arity, *planes(entries), entries, None)
+        self._fill(arity, *planes(codes), None, None)
 
     def _fill(self, *values) -> None:
         for name, value in zip(("arity", "ge_h", "ge_1", "_entries", "_text"), values):
@@ -203,7 +208,7 @@ class TritTable:
 
     def __str__(self) -> str:
         if self._text is None:
-            object.__setattr__(self, "_text", self._codes().translate(_CHARS).decode("ascii"))
+            object.__setattr__(self, "_text", codes_text(self._codes()))
         return self._text
 
     def __repr__(self) -> str:

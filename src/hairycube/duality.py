@@ -163,10 +163,11 @@ def homs_for_variant(n: int, variant_name: str, carrier_cap: int = DEFAULT_CARRI
     )
 
 
-def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[tuple[Element, ...], ...]:
+def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
     """All maps from a subalgebra carrier to S preserving componentwise meet
     and join and fixing the constants: the hom-set of the carrier with meet
-    and join as total operations and the constants as relations."""
+    and join as total operations and the constants as relations; maps are
+    `bytes` of value codes, as in `HomSet`."""
     space = StructuredSpace.from_points(carrier, _CONSTANTS, (MEET, JOIN))
     if any((c,) * space.arity not in space.carrier for c in ELEMENTS):
         raise ValueError("carrier does not contain the constant tuples")
@@ -183,7 +184,7 @@ def total_homs(n: int) -> tuple[TritTable, ...]:
 
 @dataclass(frozen=True)
 class ClassifiedHom:
-    values: tuple[Element, ...]
+    values: bytes
     tags: tuple[str, ...]
 
 
@@ -333,6 +334,8 @@ def _lambda1_closed_subsets(n: int):
 
 
 def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
+    if max_power < 1:
+        raise ValueError(f"entailment check needs a power of at least 1, got {max_power}")
     if max_power > 2:
         raise CapExceededError(
             f"entailment check capped at power 2, got {max_power}"
@@ -359,7 +362,7 @@ def entail2_witness() -> bool:
     table = TritTable.from_string("h00")
     space = StructuredSpace.power(1, (), (LAMBDA1,))
     homs = enumerate_homs_bruteforce(space)
-    if table.entries not in homs.maps:
+    if table not in homs:
         return False
     return not preserves_relation(table, R2, StructuredSpace.power(1))
 
@@ -384,6 +387,8 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     the variant's structure; the double dual is the hom-set of that space.
     """
     carrier = tuple(sorted(set(tuple(p) for p in carrier)))
+    if not carrier:
+        raise ValueError("carrier must be nonempty")
     k = len(carrier[0])
     if k > 2:
         raise CapExceededError(f"evaluation check capped at powers <= 2, got {k}")
@@ -395,7 +400,7 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     dual_space = StructuredSpace.from_points(duals, var.relations, var.partial_ops)
     double_dual = enumerate_homs_bruteforce(dual_space)
 
-    evaluations = [tuple(f[i] for f in dual_space.carrier) for i in range(len(carrier))]
+    evaluations = [bytes(f[i] for f in dual_space.carrier) for i in range(len(carrier))]
 
     bijective = len(set(evaluations)) == len(carrier) and set(evaluations) == set(
         double_dual.maps
@@ -405,14 +410,14 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     homomorphism = True
     for x in carrier:
         for y in carrier:
-            em = tuple(map(min, evaluations[index[x]], evaluations[index[y]]))
-            ej = tuple(map(max, evaluations[index[x]], evaluations[index[y]]))
+            em = bytes(map(min, evaluations[index[x]], evaluations[index[y]]))
+            ej = bytes(map(max, evaluations[index[x]], evaluations[index[y]]))
             if em != evaluations[index[tuple(map(min, x, y))]]:
                 homomorphism = False
             if ej != evaluations[index[tuple(map(max, x, y))]]:
                 homomorphism = False
     for c in ELEMENTS:
-        if evaluations[index[(c,) * k]] != (c,) * len(duals):
+        if evaluations[index[(c,) * k]] != bytes((c,)) * len(duals):
             homomorphism = False
 
     return EvaluationReport(

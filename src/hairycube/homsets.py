@@ -7,6 +7,12 @@ carrier -> S against the relational (and partial-operation) constraints,
 `lift` glues the hom-set one arity up from pairs of slices.  Tests compare
 the three.
 
+Every map is held as `bytes`: byte i is the code 0, 1 or 2 of its value at
+carrier index i, the string `core.planes` reads and `TritTable._codes`
+writes.  Bytes sort like code tuples, which keeps hom-sets in canonical
+order, and the cyclic collector does not track them.  Tables and text are
+made from them only at the edges (`HomSet.tables`, output).
+
 The clone closes in three stages on (ge_h, ge_1) plane pairs: the
 generators under bar, then under meets, then under joins.  That is the
 whole clone, because bar is antitone, so the sublattice generated by a
@@ -25,28 +31,16 @@ mask test per row against the indices f sends to allowed values.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import (
-    ELEMENTS,
-    Element,
-    TritTable,
-    all_tuples,
-    planes,
-    ZERO,
-)
-from .posets import FinitePoset
+from .core import ELEMENTS, Element, TritTable, all_tuples, planes
+from .posets import CapExceededError, FinitePoset
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
 DEFAULT_CARRIER_CAP = 12
 DEFAULT_CLONE_ARITY_CAP = 3
-
-
-class CapExceededError(ValueError):
-    """Raised when a requested enumeration exceeds its fixed cap."""
 
 
 @dataclass(frozen=True)
@@ -151,15 +145,16 @@ class StructuredSpace:
         return cls(len(points[0]), tuple(points), tuple(relations), tuple(partial_ops))
 
 
-MapLike = Union[TritTable, Sequence[Element]]
+MapLike = Union[TritTable, bytes, Sequence[Element]]
 
 
-def _as_assignment(f: MapLike, space: StructuredSpace) -> tuple[Element, ...]:
+def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
+    """f as the codes of its values at the carrier indices."""
     if isinstance(f, TritTable):
         if not space.is_full_power() or f.arity != space.arity:
             raise ValueError("table maps do not match this carrier")
-        return f.entries
-    values = tuple(f)
+        return f._codes()
+    values = bytes(f)
     if len(values) != space.size:
         raise ValueError(
             f"assignment has {len(values)} values for a carrier of {space.size}"
@@ -174,7 +169,7 @@ def preserves_relation(f: MapLike, rel: BinaryRelation, space: StructuredSpace) 
     the union of E_b over the b with (a, b) in rel, f preserves rel iff
     every related row i lies inside allowed[f(i)].
     """
-    codes = bytes(_as_assignment(f, space))
+    codes = _as_assignment(f, space)
     ge_h, ge_1 = (f.ge_h, f.ge_1) if isinstance(f, TritTable) else planes(codes)
     full = (1 << space.size) - 1
     by_value = (full & ~ge_h, ge_h & ~ge_1, ge_1)
@@ -190,7 +185,7 @@ def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> b
     Requires the componentwise result to lie in the carrier, the image pair
     to lie in the domain, and the values to agree.
     """
-    codes = bytes(_as_assignment(f, space))
+    codes = _as_assignment(f, space)
     dmask = op.domain.mask
     values = bytes(0 if v is None else v for v in op.values)
     for i, j, k in space.op_triples(op):
@@ -202,27 +197,29 @@ def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> b
 
 @dataclass(frozen=True)
 class HomSet:
-    """Canonically ordered morphisms of a structured space into S."""
+    """Canonically ordered morphisms of a structured space into S, each map
+    as `bytes` whose byte i is the code (0, 1, 2) of its value at point i."""
 
     source: StructuredSpace
-    maps: tuple[tuple[Element, ...], ...]
+    maps: tuple[bytes, ...]
 
     def __len__(self) -> int:
         return len(self.maps)
 
-    def __iter__(self) -> Iterator[tuple[Element, ...]]:
+    def __iter__(self) -> Iterator[bytes]:
         return iter(self.maps)
 
     def __contains__(self, f: MapLike) -> bool:
         try:
-            return _as_assignment(f, self.source) in set(self.maps)
+            return _as_assignment(f, self.source) in self.maps
         except ValueError:
             return False
 
     def tables(self) -> tuple[TritTable, ...]:
         if not self.source.is_full_power():
             raise ValueError("maps of a proper carrier are not n-ary tables")
-        return tuple(TritTable(self.source.arity, m) for m in self.maps)
+        arity = self.source.arity
+        return tuple(TritTable.from_planes(arity, *planes(m)) for m in self.maps)
 
     def lattice(self) -> FinitePoset:
         """The tables under the pointwise order."""
@@ -242,9 +239,9 @@ def _compile_checks(space: StructuredSpace):
     return checks
 
 
-def _search_assignments(m: int, checks) -> Iterator[tuple[Element, ...]]:
+def _search_assignments(m: int, checks) -> Iterator[bytes]:
     """Depth-first search over all assignments, in canonical (lex) order."""
-    assign: list[Element] = [ZERO] * m
+    assign = bytearray(m)
 
     def ok(t: int) -> bool:
         for c in checks[t]:
@@ -261,11 +258,11 @@ def _search_assignments(m: int, checks) -> Iterator[tuple[Element, ...]]:
                     return False
         return True
 
-    def rec(t: int) -> Iterator[tuple[Element, ...]]:
+    def rec(t: int) -> Iterator[bytes]:
         if t == m:
-            yield tuple(assign)
+            yield bytes(assign)
             return
-        for v in ELEMENTS:
+        for v in range(3):
             assign[t] = v
             if ok(t):
                 yield from rec(t + 1)
@@ -305,9 +302,9 @@ def _close(elems: list, step) -> list:
 
 
 @lru_cache(maxsize=None)
-def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
+def _clone_entries(n: int) -> tuple[bytes, ...]:
     """The clone's tables, closed as (ge_h, ge_1) plane pairs and read out
-    as entry tuples once, sorted.
+    as entry codes once, sorted.
 
     The closure runs in three stages: the generators under bar, that set
     under meets with its own members, and the result under joins with the
@@ -325,7 +322,7 @@ def _clone_entries(n: int) -> tuple[tuple[Element, ...], ...]:
                    lambda a: ((a[0] & b_h, a[1] & b_1) for b_h, b_1 in barred))
     elems = _close(list(meets),
                    lambda a: ((a[0] | b_h, a[1] | b_1) for b_h, b_1 in meets))
-    return tuple(sorted(TritTable.from_planes(n, *t).entries for t in elems))
+    return tuple(sorted(TritTable.from_planes(n, *t)._codes() for t in elems))
 
 
 def clone_closure(n: int) -> HomSet:
@@ -372,23 +369,14 @@ def lift(homs: HomSet) -> HomSet:
     tables = homs.tables()
     rank = {(t.ge_h, t.ge_1): i for i, t in enumerate(tables)}
     maps = []
-    # The glued maps are GC-tracked tuples that hold no cycles; pausing the
-    # cyclic collector spares the repeated passes it would make over them
-    # while they are built.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for s0, m0 in zip(tables, homs.maps):
-            glued = []
-            for i, s1 in enumerate(tables):
-                if not s0.ge_h & ~s1.ge_h:
-                    middle = rank.get((s0.ge_h | s1.ge_h, s0.ge_1))
-                    if middle is None:
-                        raise ValueError("hom-set lacks the middle slice of a slice pair")
-                    glued.append((middle, i))
-            glued.sort()
-            maps += [m0 + homs.maps[middle] + homs.maps[i] for middle, i in glued]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for s0, m0 in zip(tables, homs.maps):
+        glued = []
+        for i, s1 in enumerate(tables):
+            if not s0.ge_h & ~s1.ge_h:
+                middle = rank.get((s0.ge_h | s1.ge_h, s0.ge_1))
+                if middle is None:
+                    raise ValueError("hom-set lacks the middle slice of a slice pair")
+                glued.append((middle, i))
+        glued.sort()
+        maps += [m0 + homs.maps[middle] + homs.maps[i] for middle, i in glued]
     return HomSet(StructuredSpace.power(homs.source.arity + 1), tuple(maps))

@@ -28,6 +28,10 @@ from typing import Callable, Iterable, Sequence
 DOWNSET_CAP = 1 << 20
 
 
+class CapExceededError(ValueError):
+    """Raised when a requested enumeration exceeds its fixed cap."""
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -222,8 +226,8 @@ class FinitePoset:
         )
 
     def downset_masks(self) -> tuple[int, ...]:
-        """All downsets as bit masks, sorted by (size, mask); ValueError once
-        there are more than `DOWNSET_CAP` of them."""
+        """All downsets as bit masks, sorted by (size, mask); CapExceededError
+        once there are more than `DOWNSET_CAP` of them."""
         # Along a linear extension, extending each downset of the prefix by
         # the next element where allowed gives the downsets of the longer one.
         masks = [0]
@@ -231,9 +235,8 @@ class FinitePoset:
             strict = self._down[i] & ~(1 << i)
             masks += [m | 1 << i for m in masks if m & strict == strict]
             if len(masks) > DOWNSET_CAP:
-                raise ValueError(
-                    f"cap exceeded: more than {DOWNSET_CAP} downsets of a "
-                    f"{self.n}-element poset"
+                raise CapExceededError(
+                    f"more than {DOWNSET_CAP} downsets of a {self.n}-element poset"
                 )
         masks.sort(key=lambda m: (bin(m).count("1"), m))
         return tuple(masks)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .core import codes_text
 from .cube import chi_lattice, hairy_cube_recursive
 from .homsets import HomSet
 from .posets import FinitePoset
@@ -49,9 +50,7 @@ def homset_payload(homset: HomSet, variant: str, method: str) -> dict:
         "variant": variant,
         "method": method,
         "count": len(homset),
-        "maps": [
-            "".join(str(v) for v in m) for m in homset.maps
-        ],
+        "maps": [codes_text(m) for m in homset.maps],
     }
 
 

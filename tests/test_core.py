@@ -198,9 +198,10 @@ def table_pairs(draw):
 def test_table_planes_match_tuple_oracle(case):
     n, x, y = case
     a, b = TritTable(n, x), TritTable(n, y)
-    for t, entries in ((a, x), (TritTable.from_planes(n, a.ge_h, a.ge_1), x)):
-        assert t.entries == entries
-        assert str(t) == "".join(str(e) for e in entries)
+    # built from entries, from planes, and from the bytes of entry codes
+    for t in (a, TritTable.from_planes(n, a.ge_h, a.ge_1), TritTable(n, bytes(x))):
+        assert t.entries == x
+        assert str(t) == "".join(str(e) for e in x) == "".join(str(e) for e in t.entries)
         assert TritTable.from_string(str(t)) == t
     c = a.meet(b)
     assert c.entries is c.entries and str(c) is str(c)  # views are memoised

@@ -100,7 +100,7 @@ def test_variants_agree_on_homsets():
 
 def test_algebra_homs_of_s_is_identity():
     homs = algebra_homs(all_tuples(1))
-    assert homs == ((ZERO, H, ONE),)
+    assert homs == (bytes((ZERO, H, ONE)),)
 
 
 def test_total_homs_are_projections():
@@ -135,7 +135,7 @@ def _naive_algebra_homs(carrier):
             for u in carrier
             for v in carrier
         ):
-            kept.append(values)
+            kept.append(bytes(values))
     return tuple(kept)
 
 
@@ -177,7 +177,7 @@ def test_dual_of_r3_is_the_projection_pair():
     homs = algebra_homs(carrier)
     pi1 = tuple(a for a, _ in carrier)
     pi2 = tuple(b for _, b in carrier)
-    assert set(homs) == {pi1, pi2}
+    assert set(homs) == {bytes(pi1), bytes(pi2)}
     # both lambda restrictions coincide with projections on r3
     assert tuple(LAMBDA1(a, b) for a, b in carrier) == pi2
     assert tuple(LAMBDA2(a, b) for a, b in carrier) == pi1
@@ -234,6 +234,14 @@ def test_entailment_exhaustive():
         entailment_lambda1(3)
 
 
+@pytest.mark.parametrize("max_power", [0, -1])
+def test_entailment_refuses_a_power_below_one(max_power):
+    # range(1, max_power + 1) is empty there: the check would pass on nothing
+    with pytest.raises(ValueError, match="power of at least 1") as exc:
+        entailment_lambda1(max_power)
+    assert not isinstance(exc.value, CapExceededError)
+
+
 def test_entailment_witness_against_r2():
     assert entail2_witness()
     # and r2 really is the reason (h,0,0) is not a morphism
@@ -265,6 +273,12 @@ def test_evaluation_isomorphisms():
         assert rep.passed
         assert rep.double_dual_size == len(rel)
         assert rep.dual_size == EXPECTED_DUAL_SIZES[canonical_name(rel)]
+
+
+def test_evaluation_rejects_an_empty_carrier():
+    for carrier in ((), []):
+        with pytest.raises(ValueError, match="carrier must be nonempty"):
+            evaluation_map_check(carrier)
 
 
 def test_evaluation_rejects_non_subuniverse():

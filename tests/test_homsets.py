@@ -83,7 +83,8 @@ def test_clone_counts():
 def _tuple_clone(n):
     """The term clone closed on entry tuples with the pointwise tuple
     helpers, independently of the table planes.  Entries are kept as int
-    codes, which hash faster than Elements and compare equal to them."""
+    codes, which hash faster than Elements and compare equal to them, and
+    each table is read out as the bytes of its codes."""
     elems = [tuple(int(args[i]) for args in all_tuples(n)) for i in range(n)]
     elems += [(int(c),) * 3 ** n for c in ELEMENTS]
     seen = set(elems)
@@ -98,7 +99,7 @@ def _tuple_clone(n):
                 seen.add(t)
                 elems.append(t)
         i += 1
-    return tuple(sorted(elems))
+    return tuple(sorted(map(bytes, elems)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -199,14 +200,14 @@ def _slice_conditions(entries, unary):
 def test_construct_conditions_hold_on_members():
     unary = {tuple(map(Element.from_char, t)) for t in UNARY}
     for m in clone_closure(2).maps:
-        assert _slice_conditions(m, unary)
+        assert _slice_conditions(tuple(m), unary)
 
 
 def test_construct_conditions_reject_nonmembers_at_arity_two():
     # At arity 2 the slice conditions cut out the hom-set exactly, and lift
     # glues exactly the tables that pass them.
     unary = {tuple(map(Element.from_char, t)) for t in UNARY}
-    passing = {e for e in product(ELEMENTS, repeat=9) if _slice_conditions(e, unary)}
+    passing = {bytes(e) for e in product(ELEMENTS, repeat=9) if _slice_conditions(e, unary)}
     assert passing == set(lift(clone_closure(1)).maps) == set(clone_closure(2).maps)
 
 
@@ -231,7 +232,7 @@ def test_lift_to_arity_four_matches_the_pinned_search(workloads):
 
 def test_lift_leaves_the_collector_as_it_found_it():
     unary = clone_closure(1)
-    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != (ZERO, H, H)))
+    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != bytes((ZERO, H, H))))
     enabled = gc.isenabled()
     try:
         for state in (True, False):
@@ -245,13 +246,38 @@ def test_lift_leaves_the_collector_as_it_found_it():
         (gc.enable if enabled else gc.disable)()
 
 
+def test_maps_are_untracked_bytes():
+    # Maps hold no references, so the cyclic collector never walks them.
+    cases = [
+        enumerate_homs_bruteforce(StructuredSpace.power(2)),
+        enumerate_homs_bruteforce(StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE)])),
+        enumerate_homs_bruteforce(StructuredSpace.power(1, (), (LAMBDA1,))),
+    ]
+    cases += [clone_closure(n) for n in (0, 1, 2, 3)]
+    cases += [lift(clone_closure(n)) for n in (0, 1, 2)]
+    for homs in cases:
+        assert homs.maps
+        for m in homs.maps:
+            assert type(m) is bytes and len(m) == homs.source.size
+            assert not gc.is_tracked(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_clone_maps_are_the_codes_of_their_tables(n):
+    clone = clone_closure(n)
+    tables = clone.tables()
+    assert len(tables) == len(clone.maps)
+    for i, t in enumerate(tables):
+        assert clone.maps[i] == t._codes() == bytes(t.entries)
+
+
 def test_lift_refuses_what_is_not_a_hom_set():
     diagonal = StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE)])
     with pytest.raises(ValueError):
         lift(enumerate_homs_bruteforce(diagonal))
     # 000 and 0h1 form a slice pair whose middle slice, 0hh, is missing.
     unary = clone_closure(1)
-    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != (ZERO, H, H)))
+    gapped = HomSet(unary.source, tuple(m for m in unary.maps if m != bytes((ZERO, H, H))))
     with pytest.raises(ValueError, match="middle slice"):
         lift(gapped)
 
@@ -261,12 +287,12 @@ def test_clone_closed_under_operations():
     members = set(clone.maps)
     tables = clone.tables()
     for t in tables:
-        assert t.bar().entries in members
-        assert t.meet_h().entries in members
+        assert bytes(t.bar().entries) in members
+        assert bytes(t.meet_h().entries) in members
     for a in tables[:10]:
         for b in tables[:10]:
-            assert a.meet(b).entries in members
-            assert a.join(b).entries in members
+            assert bytes(a.meet(b).entries) in members
+            assert bytes(a.join(b).entries) in members
 
 
 def _naive_homs(space):
@@ -291,7 +317,7 @@ def _naive_homs(space):
             if all(op.defined(a, b) for a, b in zip(u, v))
         )
         if ok:
-            kept.append(values)
+            kept.append(bytes(values))
     return tuple(kept)
 
 
@@ -314,7 +340,7 @@ def test_search_matches_naive_filter(points, relations, partial_ops):
     homs = enumerate_homs_bruteforce(space, carrier_cap=space.size)
     assert homs.maps == _naive_homs(space)
     for values in product(ELEMENTS, repeat=space.size):
-        assert (values in homs.maps) == (
+        assert (bytes(values) in homs.maps) == (
             all(preserves_relation(values, rel, space) for rel in relations)
             and all(preserves_partial_op(values, op, space) for op in partial_ops)
         )

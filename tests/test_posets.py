@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube import posets
+from hairycube import homsets, posets
 from hairycube.cube import hairy_cube_recursive
-from hairycube.posets import FinitePoset
+from hairycube.posets import CapExceededError, FinitePoset
 
 
 def greatest_lower_bound(p: FinitePoset, i: int, j: int) -> int:
@@ -102,8 +102,11 @@ def test_downset_cap_counts_downsets_not_elements(monkeypatch):
     monkeypatch.setattr(posets, "DOWNSET_CAP", 7)
     assert len(FinitePoset.from_leq(range(6), lambda x, y: x <= y).downset_masks()) == 7
     anti = FinitePoset.from_leq(range(3), lambda x, y: x == y)
-    with pytest.raises(ValueError, match="cap exceeded"):
+    with pytest.raises(CapExceededError, match="more than 7 downsets of a 3-element poset"):
         anti.downset_masks()
+    # the one cap error type, still a ValueError, under its old import path too
+    assert homsets.CapExceededError is CapExceededError
+    assert issubclass(CapExceededError, ValueError)
 
 
 def test_isomorphism_found_and_refused():
