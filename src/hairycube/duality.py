@@ -30,6 +30,7 @@ from .homsets import (
     CapExceededError,
     HomSet,
     StructuredSpace,
+    break_flags,
     clone_closure,
     enumerate_homs_bruteforce,
     preserves_relation,
@@ -348,11 +349,14 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
             substructures += 1
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
             homs = enumerate_homs_bruteforce(space)
-            for values in homs:
-                maps_checked += 1
-                for rel, rel_name in ((R1, "r1"), (R3, "r3")):
-                    if not preserves_relation(values, rel, space):
-                        violations.append((n, subset, values, rel_name))
+            maps_checked += len(homs)
+            flags = break_flags(homs.maps, space, (R1, R3))
+            violations += [
+                (n, subset, values, rel_name)
+                for values, bad in zip(homs.maps, flags) if bad
+                for rel, rel_name in ((R1, "r1"), (R3, "r3"))
+                if not preserves_relation(values, rel, space)
+            ]
     return EntailmentReport(max_power, substructures, maps_checked, tuple(violations))
 
 

@@ -21,18 +21,21 @@ meets of that set.
 
 There is one constraint engine.  A `StructuredSpace` works out once which
 carrier indices each of its relations and operations constrains
-(`related_pairs`, `op_triples`); the search, `preserves_relation`,
-`preserves_partial_op`, the carrier's closure check and the algebra homs
-of `duality.algebra_homs` (meet and join as total operations, constants as
-singleton relations) all read those.  `related_rows` packs the related
-pairs into one bit mask per carrier index, so `preserves_relation` is one
-mask test per row against the indices f sends to allowed values.
+(`related_pairs`, `op_triples`); the search, `break_flags`, the carrier's
+closure check and the algebra homs of `duality.algebra_homs` (meet and join
+as total operations, constants as singleton relations) all read those.
+`break_flags` checks a whole batch of maps in one column-wise pass: column
+(i, v) is an int with one 0/1 byte per map, 1 where the map sends index i
+to v, so one `&` or `|` tests every map at once.  `preserves_relation` and
+`preserves_partial_op` are its one-map calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
 from .core import ELEMENTS, Element, TritTable, all_tuples, planes
@@ -52,8 +55,8 @@ class StructuredSpace:
     wherever the componentwise domain condition holds.
 
     `related_pairs` and `op_triples` are the one place that decides which
-    carrier indices a relation or an operation constrains; the search, the
-    `preserves_*` checks and the closure check all read them.
+    carrier indices a relation or an operation constrains; the search,
+    `break_flags` and the closure check all read them.
     """
 
     arity: int
@@ -61,8 +64,7 @@ class StructuredSpace:
     relations: tuple[BinaryRelation, ...] = ()
     partial_ops: tuple[PartialOp, ...] = ()
     _index: dict = field(init=False, repr=False, compare=False)
-    # relation -> its related_pairs, operation -> its op_triples,
-    # ("rows", relation) -> its related_rows
+    # relation -> its related_pairs, operation -> its op_triples
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -94,16 +96,6 @@ class StructuredSpace:
                 if all(map(rel.contains, u, v))
             )
         return self._memo[rel]
-
-    def related_rows(self, rel: BinaryRelation) -> tuple[int, ...]:
-        """Row i is the bit mask of the j with (i, j) in related_pairs(rel)."""
-        key = ("rows", rel)
-        if key not in self._memo:
-            rows = [0] * self.size
-            for i, j in self.related_pairs(rel):
-                rows[i] |= 1 << j
-            self._memo[key] = tuple(rows)
-        return self._memo[key]
 
     def op_triples(self, op: PartialOp) -> tuple[tuple[int, int, int | None], ...]:
         """(i, j, k) for each index pair in op's componentwise domain, where
@@ -147,6 +139,9 @@ class StructuredSpace:
 
 MapLike = Union[TritTable, bytes, Sequence[Element]]
 
+# _ONE_HOT[v] turns entry codes into 1 where the code is v and 0 elsewhere.
+_ONE_HOT = tuple(bytes(int(code == v) for code in range(256)) for v in ELEMENTS)
+
 
 def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
     """f as the codes of its values at the carrier indices."""
@@ -154,45 +149,95 @@ def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
         if not space.is_full_power() or f.arity != space.arity:
             raise ValueError("table maps do not match this carrier")
         return f._codes()
-    values = bytes(f)
-    if len(values) != space.size:
-        raise ValueError(
-            f"assignment has {len(values)} values for a carrier of {space.size}"
-        )
-    return values
+    return bytes(f)
+
+
+def _or_of_ands(first: Iterable[int], *rest: Iterable[int]) -> int:
+    """The OR, over the index pairs or triples, of the AND of their columns:
+    the maps that meet one value case at some pair or triple."""
+    for other in rest:
+        first = map(and_, first, other)
+    return reduce(or_, first, 0)
+
+
+def break_flags(
+    maps: Sequence[bytes],
+    space: StructuredSpace,
+    relations: Sequence[BinaryRelation] = (),
+    partial_ops: Sequence[PartialOp] = (),
+) -> bytes:
+    """One byte per map: 1 if it breaks one of the given relations or
+    partial operations on the carrier of space, 0 if it preserves them all.
+
+    The maps are tested together.  Column (i, v) holds one 0/1 byte per map,
+    1 where the map sends carrier index i to v, so `&`, `|` and `& ~` act on
+    every map at once without carries.  A related pair (i, j) fails the maps
+    in col(i, a) & col(j, b) for each (a, b) outside the relation.  A triple
+    (i, j, k) of op fails them there for (a, b) outside op's domain, and in
+    col(i, a) & col(j, b) & ~col(k, op(a, b)) inside it; a triple whose
+    result leaves the carrier fails every map.  The pairs or triples of one
+    value case are combined in C (`map`, `reduce`); for an operation, only
+    the triples with a nonzero column (i, a) take part.
+    """
+    size = space.size
+    for m in maps:
+        if len(m) != size:
+            raise ValueError(f"assignment has {len(m)} values for a carrier of {size}")
+    blob = b"".join(maps)
+    stray = blob.translate(None, b"\0\1\2")
+    if stray:
+        raise ValueError(f"map value {stray[0]} is not a code 0, 1 or 2")
+    col = []  # col[v][i] is column (i, v)
+    for one_hot in _ONE_HOT:
+        hot = blob.translate(one_hot)
+        col.append([int.from_bytes(hot[i::size], "little") for i in range(size)])
+    bad = 0
+    for rel in relations:
+        pairs = space.related_pairs(rel)
+        if not pairs:
+            continue
+        left, right = zip(*pairs)
+        for x in range(9):
+            if not rel.mask >> x & 1:
+                a, b = divmod(x, 3)
+                bad |= _or_of_ands(map(col[a].__getitem__, left), map(col[b].__getitem__, right))
+    # flipped[v][k] is ~col(k, v): the maps that do not send k to v
+    flipped = [[~c for c in cv] for cv in col] if partial_ops else []
+    for op in partial_ops:
+        triples = space.op_triples(op)
+        if not triples:
+            continue
+        firsts, _, results = zip(*triples)
+        if None in results:
+            return b"\1" * len(maps)
+        for a in ELEMENTS:
+            live = list(compress(triples, map(col[a].__getitem__, firsts)))
+            if not live:
+                continue
+            left, right, result = zip(*live)
+            for b in ELEMENTS:
+                columns = [map(col[a].__getitem__, left), map(col[b].__getitem__, right)]
+                v = op.values[3 * a + b]
+                if v is not None:
+                    columns.append(map(flipped[v].__getitem__, result))
+                bad |= _or_of_ands(*columns)
+    return bad.to_bytes(len(maps), "little")
 
 
 def preserves_relation(f: MapLike, rel: BinaryRelation, space: StructuredSpace) -> bool:
-    """Does f carry componentwise rel-related carrier points to rel-related values?
-
-    With E_b the mask of carrier indices that f sends to b, and allowed[a]
-    the union of E_b over the b with (a, b) in rel, f preserves rel iff
-    every related row i lies inside allowed[f(i)].
-    """
-    codes = _as_assignment(f, space)
-    ge_h, ge_1 = (f.ge_h, f.ge_1) if isinstance(f, TritTable) else planes(codes)
-    full = (1 << space.size) - 1
-    by_value = (full & ~ge_h, ge_h & ~ge_1, ge_1)
-    allowed = [0, 0, 0]
-    for a, b in rel.pairs():
-        allowed[a] |= by_value[b]
-    return not any(row & ~allowed[c] for row, c in zip(space.related_rows(rel), codes))
+    """Does f carry componentwise rel-related carrier points to rel-related
+    values?  The one-map call of `break_flags`."""
+    return not break_flags((_as_assignment(f, space),), space, (rel,))[0]
 
 
 def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> bool:
     """Does f commute with op wherever the componentwise domain holds?
 
     Requires the componentwise result to lie in the carrier, the image pair
-    to lie in the domain, and the values to agree.
+    to lie in the domain, and the values to agree.  The one-map call of
+    `break_flags`.
     """
-    codes = _as_assignment(f, space)
-    dmask = op.domain.mask
-    values = bytes(0 if v is None else v for v in op.values)
-    for i, j, k in space.op_triples(op):
-        x = 3 * codes[i] + codes[j]
-        if k is None or not dmask >> x & 1 or values[x] != codes[k]:
-            return False
-    return True
+    return not break_flags((_as_assignment(f, space),), space, (), (op,))[0]
 
 
 @dataclass(frozen=True)
@@ -308,10 +353,14 @@ def _clone_entries(n: int) -> tuple[bytes, ...]:
 
     The closure runs in three stages: the generators under bar, that set
     under meets with its own members, and the result under joins with the
-    stage-2 members.  This is the whole clone: bar is antitone on the
-    chain, so bar(x ^ y) = bar x v bar y and bar(x v y) = bar x ^ bar y,
-    hence the sublattice generated by a bar-closed set is bar-closed; and
-    that sublattice is distributive, so it is the joins of meets of the set.
+    stage-2 members that are not the join of the stage-2 members strictly
+    below them (16 of 73 at n = 3).  This is the whole clone: bar is
+    antitone on the chain, so bar(x ^ y) = bar x v bar y and
+    bar(x v y) = bar x ^ bar y, hence the sublattice generated by a
+    bar-closed set is bar-closed; and that sublattice is distributive, so
+    it is the joins of meets of the set.  Every meet is the join of the
+    kept meets at or below it (the constant 0 is the empty join), so
+    joining with the kept meets alone reaches every join of meets.
     """
     full = (1 << 3 ** n) - 1
     gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
@@ -320,8 +369,17 @@ def _clone_entries(n: int) -> tuple[bytes, ...]:
                     lambda a: ((full, full & ~a[1]),))
     meets = _close(list(barred),
                    lambda a: ((a[0] & b_h, a[1] & b_1) for b_h, b_1 in barred))
+    irreducible = []
+    for a_h, a_1 in meets:
+        below_h = below_1 = 0
+        for b_h, b_1 in meets:
+            if not (b_h & ~a_h or b_1 & ~a_1) and (b_h, b_1) != (a_h, a_1):
+                below_h |= b_h
+                below_1 |= b_1
+        if (below_h, below_1) != (a_h, a_1):
+            irreducible.append((a_h, a_1))
     elems = _close(list(meets),
-                   lambda a: ((a[0] | b_h, a[1] | b_1) for b_h, b_1 in meets))
+                   lambda a: ((a[0] | b_h, a[1] | b_1) for b_h, b_1 in irreducible))
     return tuple(sorted(TritTable.from_planes(n, *t)._codes() for t in elems))
 
 

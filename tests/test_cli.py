@@ -52,8 +52,19 @@ def test_homs_clone_filter_beyond_cap(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_clone_filter_matches_search_at_arity_three(name):
+def test_clone_filter_matches_search_at_arity_three(name, monkeypatch):
+    # The n = 3 filter tests all 775 tables in one pass; a loop of one-map
+    # preserves_* calls would raise here.
+    from hairycube import cli, duality, homsets
+
+    def refuse(*args):
+        raise AssertionError("one-map check called")
+
+    for module in (cli, duality, homsets):
+        for check in ("preserves_relation", "preserves_partial_op"):
+            monkeypatch.setattr(module, check, refuse, raising=False)
     homset, method = _homs(3, name)
+    monkeypatch.undo()
     assert method == "clone-filter"
     assert homset.maps == homs_for_variant(3, name, carrier_cap=27).maps
     assert len(homset.maps) == 775

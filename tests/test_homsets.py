@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from hairycube.homsets import (
     HomSet,
     StructuredSpace,
     assemble,
+    break_flags,
     clone_closure,
     enumerate_homs_bruteforce,
     lift,
@@ -403,30 +405,47 @@ drawn_ops = st.builds(
     st.lists(st.sampled_from(ELEMENTS), min_size=9, max_size=9),
 )
 
+# Each case is a batch of one to three maps on the same points; the one-map
+# checks run on its first map, the batch check on all of them.
 full_power_maps = st.sampled_from((1, 2, 3)).flatmap(
-    lambda n: st.tuples(st.just(n), _near_homs(n, all_tuples(n)))
+    lambda n: st.tuples(st.just(n), st.lists(_near_homs(n, all_tuples(n)), min_size=1, max_size=3))
 )
+
+
+def _check_against_naive(batch, space, relations, operations, table=None):
+    """The one-map checks on the batch's first map (and on its table, when
+    given), and break_flags on the whole batch, one structure at a time and
+    all of them at once, against the naive oracles map by map."""
+    maps = [bytes(values) for values in batch]
+    cases = [(rel, preserves_relation, _naive_preserves_relation, (rel,), ()) for rel in relations]
+    cases += [(op, preserves_partial_op, _naive_preserves_partial_op, (), (op,)) for op in operations]
+    broken = bytes(len(maps))
+    for structure, check, naive, rels, ops in cases:
+        kept = [naive(values, structure, space) for values in batch]
+        assert check(batch[0], structure, space) is kept[0]
+        if table is not None:
+            assert check(table, structure, space) is kept[0]
+        flags = break_flags(maps, space, rels, ops)
+        assert flags == bytes(not k for k in kept)
+        broken = bytes(map(or_, broken, flags))
+    assert break_flags(maps, space, relations, operations) == broken
 
 
 @settings(max_examples=300, deadline=None)
 @given(full_power_maps, drawn_relations, drawn_ops)
 def test_preserves_checks_match_naive_filter_on_full_powers(case, drawn_rel, drawn_op):
-    n, values = case
-    space = POWERS[n]
-    table = TritTable(n, values)
-    for rel in RELATIONS + (drawn_rel,):
-        expected = _naive_preserves_relation(values, rel, space)
-        assert preserves_relation(values, rel, space) is expected
-        assert preserves_relation(table, rel, space) is expected
-    for op in OPERATIONS + (drawn_op,):
-        expected = _naive_preserves_partial_op(values, op, space)
-        assert preserves_partial_op(values, op, space) is expected
-        assert preserves_partial_op(table, op, space) is expected
+    n, batch = case
+    table = TritTable(n, batch[0])
+    _check_against_naive(
+        batch, POWERS[n], RELATIONS + (drawn_rel,), OPERATIONS + (drawn_op,), table
+    )
 
 
 proper_carrier_maps = st.sampled_from((1, 2, 3)).flatmap(
     lambda n: st.sets(st.sampled_from(all_tuples(n)), min_size=1).flatmap(
-        lambda points: st.tuples(st.just(points), _near_homs(n, points))
+        lambda points: st.tuples(
+            st.just(points), st.lists(_near_homs(n, points), min_size=1, max_size=3)
+        )
     )
 )
 
@@ -434,18 +453,45 @@ proper_carrier_maps = st.sampled_from((1, 2, 3)).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(proper_carrier_maps, drawn_relations, drawn_ops)
 def test_preserves_checks_match_naive_filter_on_proper_carriers(case, drawn_rel, drawn_op):
-    points, values = case
+    points, batch = case
     # The carrier need not be closed under an operation: a result outside
     # it fails the check.
     space = StructuredSpace.from_points(points)
-    for rel in RELATIONS + (drawn_rel,):
-        assert preserves_relation(values, rel, space) is _naive_preserves_relation(
-            values, rel, space
+    _check_against_naive(batch, space, RELATIONS + (drawn_rel,), OPERATIONS + (drawn_op,))
+
+
+def test_batch_check_of_no_maps_and_of_one_map():
+    space = POWERS[2]
+    assert break_flags((), space, RELATIONS, OPERATIONS) == b""
+    assert break_flags([], StructuredSpace.from_points([(ZERO,), (ONE,)]), (), (LAMBDA1,)) == b""
+    for m in clone_closure(2).maps[:5] + (bytes(9), bytes((2,) + (0,) * 8)):
+        kept = all(_naive_preserves_relation(m, rel, space) for rel in RELATIONS) and all(
+            _naive_preserves_partial_op(m, op, space) for op in OPERATIONS
         )
-    for op in OPERATIONS + (drawn_op,):
-        assert preserves_partial_op(values, op, space) is _naive_preserves_partial_op(
-            values, op, space
-        )
+        assert break_flags([m], space, RELATIONS, OPERATIONS) == bytes([not kept])
+
+
+def test_batch_check_fails_every_map_when_an_operation_leaves_the_carrier():
+    # lambda1(0, 1) = h, and h is not in the carrier {0, 1}.
+    space = StructuredSpace.from_points([(ZERO,), (ONE,)])
+    maps = [bytes(values) for values in product(ELEMENTS, repeat=2)]
+    assert break_flags(maps, space, (), (LAMBDA1,)) == b"\1" * 9
+    assert break_flags(maps, space, (R1,), (PI1, LAMBDA1)) == b"\1" * 9
+    assert break_flags(maps, space, (R1,), (PI1,)) != b"\1" * 9
+    assert not any(preserves_partial_op(m, LAMBDA1, space) for m in maps)
+
+
+def test_checks_refuse_values_that_are_not_codes():
+    space = POWERS[1]
+    for bad, value in ((b"\x05\x00\x00", 5), (bytes((0, 1, 3)), 3), ((ZERO, 255, H), 255)):
+        for check, structure in ((preserves_relation, R1), (preserves_partial_op, LAMBDA1)):
+            with pytest.raises(ValueError, match=f"map value {value} is not a code 0, 1 or 2"):
+                check(bad, structure, space)
+        with pytest.raises(ValueError, match=f"map value {value} is not a code 0, 1 or 2"):
+            break_flags([bytes(3), bytes(bad)], space)
+        assert bad not in clone_closure(1)
+    with pytest.raises(ValueError, match="assignment has 2 values for a carrier of 3"):
+        break_flags([bytes(3), bytes(2)], space, (R1,))
 
 
 def test_preserves_checks_refuse_maps_that_do_not_fit_the_carrier():

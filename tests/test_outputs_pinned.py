@@ -4,13 +4,14 @@ The digests were taken from the command line before the tables moved to
 bit planes (the subalgebra, congruence, chi JSON and verify-all digests
 before the lattice code was merged into one class; the arity-3 chi and
 dimension-7 cube digests before every order was built from inclusion
-masks; homs --n 3 when its pin moved over from the benchmark) and must
-never be regenerated from changed code: a refactor that changes any
-exported byte fails here.  The arity-3 chi lattice (775 tables) and the
-dimension-7 hairy cube (256 elements) are the pinned orders with hundreds
-of elements; they add about 2 s.  homs --n 3 adds about 0.3 s, and its
-strong variant, whose digest is read from the benchmark's homs-n3-strong
-request, about 0.7 s.  The benchmark pins verify all, homs --n 3 and the
+masks; homs --n 3 when its pin moved over from the benchmark; the
+strong-min and optimal-strong homs --n 3 JSON before the clone-filter
+checked the whole clone in one pass) and must never be regenerated from
+changed code: a refactor that changes any exported byte fails here.  The
+arity-3 chi lattice (775 tables) and the dimension-7 hairy cube (256
+elements) are the pinned orders with hundreds of elements; they add about
+2 s.  homs --n 3 adds about 0.2 s for each of its four variants; the
+strong digest is read from the benchmark's homs-n3-strong request.  The benchmark pins verify all, homs --n 3 and the
 dimension-7 cube with the same digests.
 """
 
@@ -61,6 +62,10 @@ PINNED = {
         "3a24d4b611506979877a3bea6404376c47d0d3803950ed549a7a646686b83059",
     "homs --n 3":
         "40c42c8fd517c87ace1fb1921b08100f466b83e7cd909f47511995d373e3d015",
+    "homs --n 3 --format json --variant strong-min":
+        "47eb174d219a825544d67954683ac542056f8cf0508f538011ade40998d88c45",
+    "homs --n 3 --format json --variant optimal-strong":
+        "07751cdd51c075a72dfc0ace80bdbdb0aa1b46ad06b6b31397b6cf2671ea55ec",
 }
 
 
