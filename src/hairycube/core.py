@@ -11,7 +11,6 @@ operations; the `tuple_*` helpers do the same on plain entry tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache, total_ordering
 from itertools import product
@@ -134,19 +133,44 @@ def codes_text(codes: bytes) -> str:
     return codes.translate(_CHARS).decode("ascii")
 
 
+class Frozen:
+    """Base of the immutable value classes: `__init__` sets each slot once
+    through `object.__setattr__`.  Equality and hash read the subclass's
+    `_key()`, the tuple of its slots whose names do not start with an
+    underscore, and repr shows those slots; instances of different classes
+    are never equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        """Set the slots, in their declared order, once."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 @total_ordering
-@dataclass(frozen=True, init=False, slots=True)
-class TritTable:
+class TritTable(Frozen):
     """Total map S^arity -> S as two bit planes over the 3^arity canonical
     argument positions: bit i of `ge_h` is set when entry i is h or 1, bit i
     of `ge_1` when it is 1.  `entries` and `str()` are memoised views, decoded
     one hex nibble per entry; order is lexicographic on (arity, entries)."""
 
-    arity: int
-    ge_h: int
-    ge_1: int
-    _entries: tuple[Element, ...] | None = field(compare=False, repr=False)
-    _text: str | None = field(compare=False, repr=False)
+    __slots__ = ("arity", "ge_h", "ge_1", "_entries", "_text")
 
     def __init__(self, arity: int, entries: Iterable[int]) -> None:
         if arity < 0:
@@ -156,17 +180,24 @@ class TritTable:
             raise ValueError(
                 f"arity {arity} needs {3 ** arity} entries, got {len(codes)}"
             )
-        self._fill(arity, *planes(codes), None, None)
+        self._fill(arity, *planes(codes))
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(("arity", "ge_h", "ge_1", "_entries", "_text"), values):
-            object.__setattr__(self, name, value)
+    def _fill(self, arity: int, ge_h: int, ge_1: int) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "arity", arity)
+        set_slot(self, "ge_h", ge_h)
+        set_slot(self, "ge_1", ge_1)
+        set_slot(self, "_entries", None)
+        set_slot(self, "_text", None)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.arity, self.ge_h, self.ge_1
 
     @classmethod
     def from_planes(cls, arity: int, ge_h: int, ge_1: int) -> "TritTable":
         """The table with these planes; ge_1 must lie inside ge_h."""
         table = object.__new__(cls)
-        table._fill(arity, ge_h, ge_1, None, None)
+        table._fill(arity, ge_h, ge_1)
         return table
 
     @classmethod

@@ -9,9 +9,9 @@ exponent vector of that polynomial is the cube coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .core import ELEMENTS, Element, H, TritTable
 from .homsets import CapExceededError, assemble, clone_closure, slice_first
@@ -23,8 +23,7 @@ def join_irreducibles(lattice: FinitePoset) -> FinitePoset:
     return lattice.induced(lattice.join_irreducible_indices())
 
 
-@dataclass(frozen=True, order=True)
-class JIElement:
+class JIElement(NamedTuple):
     """Join-irreducible hom-set member with its polynomial descriptor.
 
     epsilon ranges over {0,1}^n (1 marks a barred projection factor) and
@@ -130,8 +129,7 @@ def _element_table(x) -> TritTable:
     return x.table if isinstance(x, JIElement) else x
 
 
-@dataclass(frozen=True)
-class HairyCubeReport:
+class HairyCubeReport(NamedTuple):
     """Clause-by-clause outcome of the hairy-cube shape check."""
 
     dimension: int
@@ -263,8 +261,7 @@ def open_set_order(opens, elements=None) -> FinitePoset:
     return FinitePoset.from_masks(elements, masks)
 
 
-@dataclass(frozen=True)
-class PartiallyStoneSpaceFinite:
+class PartiallyStoneSpaceFinite(NamedTuple):
     """Finite candidate dual space: a poset, a marked base subset and the
     downset topology."""
 
@@ -288,8 +285,7 @@ class PartiallyStoneSpaceFinite:
         )
 
 
-@dataclass(frozen=True)
-class PssResult:
+class PssResult(NamedTuple):
     ok: bool
     failed_clause: str | None
     mapping: dict | None

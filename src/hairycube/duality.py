@@ -10,8 +10,8 @@ isomorphisms, and persistence of the hom-set geometry across variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import (
     ELEMENTS,
@@ -110,8 +110,7 @@ JOIN = _total_op("join", join)
 _CONSTANTS = tuple(BinaryRelation.from_pairs([(c, c)]) for c in ELEMENTS)
 
 
-@dataclass(frozen=True)
-class StructureVariant:
+class StructureVariant(NamedTuple):
     """A choice of relations and partial operations on S."""
 
     name: str
@@ -183,14 +182,12 @@ def total_homs(n: int) -> tuple[TritTable, ...]:
     return tuple(TritTable(n, f) for f in algebra_homs(all_tuples(n)))
 
 
-@dataclass(frozen=True)
-class ClassifiedHom:
+class ClassifiedHom(NamedTuple):
     values: bytes
     tags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Per subalgebra of S^2: its homs into S, each tagged by the known
     operations restricting to it."""
 
@@ -227,8 +224,7 @@ def classify_partial_homs() -> ClassificationReport:
     return ClassificationReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     description: str
     preserved: tuple[str, ...]
     violated: str
@@ -278,8 +274,7 @@ def optimality_witnesses() -> tuple[Witness, ...]:
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class FtcResult:
+class FtcResult(NamedTuple):
     separated: bool
     pair: tuple[TritTable, TritTable] | None
     restrictions: tuple[tuple[Element, ...], ...]
@@ -311,8 +306,7 @@ def ftc_check(points, y, n: int) -> FtcResult:
     return FtcResult(False, None, restrictions)
 
 
-@dataclass(frozen=True)
-class EntailmentReport:
+class EntailmentReport(NamedTuple):
     """Exhaustive check that every lambda1-preserving map on a lambda1-closed
     substructure also preserves r1 and r3."""
 
@@ -371,8 +365,7 @@ def entail2_witness() -> bool:
     return not preserves_relation(table, R2, StructuredSpace.power(1))
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     carrier_size: int
     dual_size: int
     double_dual_size: int

@@ -32,22 +32,20 @@ to v, so one `&` or `|` tests every map at once.  `preserves_relation` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import ELEMENTS, Element, TritTable, all_tuples, planes
-from .posets import CapExceededError, FinitePoset
+from .core import ELEMENTS, Element, Frozen, TritTable, all_tuples, planes
+from .posets import CapExceededError, FinitePoset, _bits
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
 DEFAULT_CARRIER_CAP = 12
 DEFAULT_CLONE_ARITY_CAP = 3
 
 
-@dataclass(frozen=True)
-class StructuredSpace:
+class StructuredSpace(Frozen):
     """Finite subset of S^arity carrying relations and partial operations.
 
     Relations and partial operations are interpreted componentwise.  When a
@@ -56,44 +54,49 @@ class StructuredSpace:
 
     `related_pairs` and `op_triples` are the one place that decides which
     carrier indices a relation or an operation constrains; the search,
-    `break_flags` and the closure check all read them.
+    `break_flags` and the closure check all read them.  `_memo` maps a
+    relation to its related_pairs and an operation to its op_triples.
     """
 
-    arity: int
-    carrier: tuple[tuple[Element, ...], ...]
-    relations: tuple[BinaryRelation, ...] = ()
-    partial_ops: tuple[PartialOp, ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False)
-    # relation -> its related_pairs, operation -> its op_triples
-    _memo: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("arity", "carrier", "relations", "partial_ops", "_index", "_memo")
 
-    def __post_init__(self) -> None:
-        if not self.carrier:
+    def __init__(self, arity: int, carrier: tuple[tuple[Element, ...], ...],
+                 relations: tuple[BinaryRelation, ...] = (),
+                 partial_ops: tuple[PartialOp, ...] = ()) -> None:
+        if not carrier:
             raise ValueError("carrier must be nonempty")
-        if list(self.carrier) != sorted(set(self.carrier)):
+        if list(carrier) != sorted(set(carrier)):
             raise ValueError("carrier must be canonically sorted and duplicate-free")
-        for point in self.carrier:
-            if len(point) != self.arity:
-                raise ValueError(f"point {point} does not have width {self.arity}")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.carrier)})
-        object.__setattr__(self, "_memo", {})
-        for op in self.partial_ops:
+        for point in carrier:
+            if len(point) != arity:
+                raise ValueError(f"point {point} does not have width {arity}")
+        index = {p: i for i, p in enumerate(carrier)}
+        self._set(arity, carrier, relations, partial_ops, index, {})
+        for op in partial_ops:
             for i, j, k in self.op_triples(op):
                 if k is None:
                     u, v = self.carrier[i], self.carrier[j]
                     raise ValueError(f"carrier is not closed under {op.name} at {u}, {v}")
 
+    def _key(self) -> tuple:
+        return self.arity, self.carrier, self.relations, self.partial_ops
+
     def index(self, point: tuple[Element, ...]) -> int:
         return self._index[point]
 
     def related_pairs(self, rel: BinaryRelation) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j) whose points are componentwise rel-related."""
+        """Index pairs (i, j) whose points are componentwise rel-related, in
+        ascending order.  Bit j of col[c][a] is set when (a, coordinate c of
+        point j) is in rel, so point u's row of related j is the AND of
+        col[c][u[c]] over its coordinates c."""
         if rel not in self._memo:
+            col = [[sum(1 << j for j, v in enumerate(self.carrier) if rel.contains(a, v[c]))
+                    for a in ELEMENTS] for c in range(self.arity)]
+            full = (1 << self.size) - 1
             self._memo[rel] = tuple(
                 (i, j)
                 for i, u in enumerate(self.carrier)
-                for j, v in enumerate(self.carrier)
-                if all(map(rel.contains, u, v))
+                for j in _bits(reduce(and_, map(list.__getitem__, col, u), full))
             )
         return self._memo[rel]
 
@@ -102,8 +105,10 @@ class StructuredSpace:
         k indexes the componentwise result, or is None when it leaves the
         carrier."""
         if op not in self._memo:
+            value = {(a, b): c for a, b, c in op.graph()}.__getitem__
+            carrier, index = self.carrier, self._index
             self._memo[op] = tuple(
-                (i, j, self._index.get(tuple(map(op, self.carrier[i], self.carrier[j]))))
+                (i, j, index.get(tuple(map(value, zip(carrier[i], carrier[j])))))
                 for i, j in self.related_pairs(op.domain)
             )
         return self._memo[op]
@@ -240,13 +245,17 @@ def preserves_partial_op(f: MapLike, op: PartialOp, space: StructuredSpace) -> b
     return not break_flags((_as_assignment(f, space),), space, (), (op,))[0]
 
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(Frozen):
     """Canonically ordered morphisms of a structured space into S, each map
     as `bytes` whose byte i is the code (0, 1, 2) of its value at point i."""
 
-    source: StructuredSpace
-    maps: tuple[bytes, ...]
+    __slots__ = ("source", "maps")
+
+    def __init__(self, source: StructuredSpace, maps: tuple[bytes, ...]) -> None:
+        self._set(source, maps)
+
+    def _key(self) -> tuple:
+        return self.source, self.maps
 
     def __len__(self) -> int:
         return len(self.maps)

@@ -9,8 +9,7 @@ r3 u {(h,1)}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
@@ -20,6 +19,7 @@ from .core import (
     H,
     ONE,
     ZERO,
+    Frozen,
     all_tuples,
     tuple_bar,
     tuple_join,
@@ -36,15 +36,23 @@ def _pair_bit(a: Element, b: Element) -> int:
     return 1 << (3 * int(a) + int(b))
 
 
-@dataclass(frozen=True, order=True)
-class BinaryRelation:
-    """Subset of S^2 as a bit mask; bit 3*code(a)+code(b) holds (a, b)."""
+@total_ordering
+class BinaryRelation(Frozen):
+    """Subset of S^2 as a bit mask; bit 3*code(a)+code(b) holds (a, b).
+    Relations order by mask."""
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= _FULL_MASK:
-            raise ValueError(f"mask {self.mask} out of range")
+    def __init__(self, mask: int) -> None:
+        if not 0 <= mask <= _FULL_MASK:
+            raise ValueError(f"mask {mask} out of range")
+        object.__setattr__(self, "mask", mask)
+
+    def _key(self) -> tuple[int]:
+        return (self.mask,)
+
+    def __lt__(self, other: "BinaryRelation") -> bool:
+        return self.mask < other.mask if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Element, Element]]) -> "BinaryRelation":
@@ -252,23 +260,25 @@ def irreducibility_index() -> int:
     raise RuntimeError("diagonal is not a meet of meet-irreducibles")
 
 
-@dataclass(frozen=True)
-class PartialOp:
+class PartialOp(Frozen):
     """Partial binary operation on S: a value for every pair in its domain."""
 
-    name: str
-    domain: BinaryRelation
-    values: tuple[Element | None, ...]  # slot per canonical pair index
+    __slots__ = ("name", "domain", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 9:
+    def __init__(
+        self, name: str, domain: BinaryRelation, values: tuple[Element | None, ...]
+    ) -> None:
+        if len(values) != 9:  # one slot per canonical pair index
             raise ValueError("values must have one slot per pair of S^2")
         for i, (a, b) in enumerate(PAIRS):
-            defined = self.values[i] is not None
-            if defined != self.domain.contains(a, b):
+            if (values[i] is not None) != domain.contains(a, b):
                 raise ValueError(
-                    f"{self.name}: definedness at ({a},{b}) disagrees with the domain"
+                    f"{name}: definedness at ({a},{b}) disagrees with the domain"
                 )
+        self._set(name, domain, values)
+
+    def _key(self) -> tuple:
+        return self.name, self.domain, self.values
 
     @classmethod
     def from_graph(

@@ -6,8 +6,8 @@ certificate.  Reports are deterministic: same input, same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .core import (
     ELEMENTS,
@@ -74,16 +74,14 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     statement: str
     passed: bool
-    certificate: dict = field(default_factory=dict)
+    certificate: dict | None = None  # reports write None as {}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...]
 
@@ -658,7 +656,7 @@ def reports_payload(reports: tuple[SuiteReport, ...]) -> dict:
                         "name": c.name,
                         "statement": c.statement,
                         "passed": c.passed,
-                        "certificate": c.certificate,
+                        "certificate": c.certificate or {},
                     }
                     for c in rep.checks
                 ],

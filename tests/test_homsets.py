@@ -504,3 +504,36 @@ def test_preserves_checks_refuse_maps_that_do_not_fit_the_carrier():
             check(table, structure, POWERS[2])  # a table of another arity
         with pytest.raises(ValueError, match="assignment has 2 values for a carrier of 3"):
             check((ZERO, H), structure, diagonal)
+
+
+any_carriers = st.sampled_from((0, 1, 2, 3)).flatmap(
+    lambda n: st.one_of(
+        st.just(all_tuples(n)), st.sets(st.sampled_from(all_tuples(n)), min_size=1)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_carriers, drawn_relations, drawn_ops)
+def test_pairs_and_triples_match_their_definitions_in_order(points, rel, op):
+    """related_pairs and op_triples list exactly the index pairs and triples
+    their definitions give, pointwise, in ascending (i, j) order."""
+    space = StructuredSpace.from_points(points)
+    carrier = space.carrier
+    domain = [
+        (i, j, u, v)
+        for i, u in enumerate(carrier)
+        for j, v in enumerate(carrier)
+        if all(op.defined(a, b) for a, b in zip(u, v))
+    ]
+    assert space.related_pairs(rel) == tuple(
+        (i, j)
+        for i, u in enumerate(carrier)
+        for j, v in enumerate(carrier)
+        if all(rel.contains(a, b) for a, b in zip(u, v))
+    )
+    assert space.op_triples(op) == tuple(
+        (i, j, carrier.index(w) if w in carrier else None)
+        for i, j, u, v in domain
+        for w in [tuple(op(a, b) for a, b in zip(u, v))]
+    )
