@@ -94,10 +94,6 @@ def tuple_bar(x: tuple[Element, ...]) -> tuple[Element, ...]:
     return tuple(_BAR[v] for v in x)
 
 
-def tuple_leq(x: tuple[Element, ...], y: tuple[Element, ...]) -> bool:
-    return all(a <= b for a, b in zip(x, y))
-
-
 @lru_cache(maxsize=None)
 def all_tuples(arity: int) -> tuple[tuple[Element, ...], ...]:
     """All of S^arity in canonical (big-endian code) order."""

@@ -90,13 +90,6 @@ LAMBDA2 = PartialOp.from_graph(
 )
 
 
-def lambda_op(i: int) -> PartialOp:
-    try:
-        return (LAMBDA1, LAMBDA2)[i - 1]
-    except IndexError:
-        raise ValueError(f"lambda index must be 1 or 2, got {i}") from None
-
-
 def _total_op(name: str, fn) -> PartialOp:
     return PartialOp.from_graph(name, FULL, ((a, b, fn(a, b)) for a, b in FULL.pairs()))
 
@@ -344,13 +337,10 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
             homs = enumerate_homs_bruteforce(space)
             maps_checked += len(homs)
-            flags = break_flags(homs.maps, space, (R1, R3))
-            violations += [
-                (n, subset, values, rel_name)
-                for values, bad in zip(homs.maps, flags) if bad
-                for rel, rel_name in ((R1, "r1"), (R3, "r3"))
-                if not preserves_relation(values, rel, space)
-            ]
+            r1_flags, r3_flags = (break_flags(homs.maps, space, (rel,)) for rel in (R1, R3))
+            for values, r1_bad, r3_bad in zip(homs.maps, r1_flags, r3_flags):
+                violations += [(n, subset, values, name)
+                               for name, bad in (("r1", r1_bad), ("r3", r3_bad)) if bad]
     return EntailmentReport(max_power, substructures, maps_checked, tuple(violations))
 
 

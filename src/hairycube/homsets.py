@@ -19,22 +19,22 @@ whole clone, because bar is antitone, so the sublattice generated by a
 bar-closed set is bar-closed, and being distributive it is the joins of
 meets of that set.
 
-There is one constraint engine.  A `StructuredSpace` works out once which
-carrier indices each of its relations and operations constrains
-(`related_pairs`, `op_triples`); the search, `break_flags`, the carrier's
-closure check and the algebra homs of `duality.algebra_homs` (meet and join
-as total operations, constants as singleton relations) all read those.
-`break_flags` checks a whole batch of maps in one column-wise pass: column
-(i, v) is an int with one 0/1 byte per map, 1 where the map sends index i
-to v, so one `&` or `|` tests every map at once.  `preserves_relation` and
-`preserves_partial_op` are its one-map calls.
+There is one constraint interpreter.  A `StructuredSpace` works out once
+which carrier indices each of its relations and operations constrains
+(`related_pairs`, `op_triples`), and `_broken` alone reads relation masks
+and operation values: it tests a batch of maps, one bit each in integer
+columns, against related pairs and operation triples with a few `&` and
+`|` per entry.  The search runs it level by level on batches of prefixes,
+`break_flags` on whole hom-sets (`preserves_*` are its one-map calls).  The
+algebra homs of `duality.algebra_homs` are a search with meet and join as
+total operations and the constants as relations.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import and_, or_
+from itertools import chain, compress, islice
+from operator import and_
 from typing import Iterable, Iterator, Sequence, Union
 
 from .core import ELEMENTS, Element, Frozen, TritTable, all_tuples, planes
@@ -144,8 +144,13 @@ class StructuredSpace(Frozen):
 
 MapLike = Union[TritTable, bytes, Sequence[Element]]
 
-# _ONE_HOT[v] turns entry codes into 1 where the code is v and 0 elsewhere.
-_ONE_HOT = tuple(bytes(int(code == v) for code in range(256)) for v in ELEMENTS)
+# The most prefixes the search passes one level down at once.  Each level
+# of the walk holds one batch, so this bounds its memory.
+_SEARCH_BATCH = 1024
+_CODES = (b"\0", b"\1", b"\2")
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+# The cases of `_broken`, by relation mask and by operation value table.
+_CASES: dict = {}
 
 
 def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
@@ -157,12 +162,61 @@ def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
     return bytes(f)
 
 
-def _or_of_ands(first: Iterable[int], *rest: Iterable[int]) -> int:
-    """The OR, over the index pairs or triples, of the AND of their columns:
-    the maps that meet one value case at some pair or triple."""
-    for other in rest:
-        first = map(and_, first, other)
-    return reduce(or_, first, 0)
+def _columns(blob: bytes, size: int) -> list[tuple[int, ...]]:
+    """The columns of a batch of maps, joined in blob with size codes each:
+    entry i is a tuple indexed by the value sets s (bit v for value v), whose
+    column s has bit m set when map m sends carrier index i into s."""
+    full = (1 << len(blob) // size) - 1
+    cols = []
+    for i in range(size):
+        ge_h, ge_1 = planes(blob[i::size])
+        is_h = ge_h ^ ge_1
+        cols.append((0, full ^ ge_h, is_h, full ^ ge_1, ge_1, full ^ is_h, ge_h, full))
+    return cols
+
+
+def _broken(cols: list[tuple[int, ...]], pairs, triples) -> int:
+    """The maps of a batch, as bits of an int, that break one of the related
+    pairs (rel, i, j) or operation triples (op, i, j, k), given the batch's
+    columns.  The one reader of relation masks and operation values.
+
+    A pair breaks the maps that send i to a and j outside row a of rel.  A
+    triple breaks the maps that send i to a, unless they send j to some b
+    in op's domain and k to op(a, b).  Each mask or value table is read once
+    into its cases (`_CASES`), written with the value sets that index a
+    column tuple: per a, the values outside row a, or the pairs (the b
+    with op(a, b) = v, v)."""
+    bad = 0
+    for rel, i, j in pairs:
+        cases = _CASES.get(rel.mask)
+        if cases is None:
+            outside = ~rel.mask
+            rows = ((1 << a, outside >> 3 * a & 7) for a in ELEMENTS)
+            cases = _CASES[rel.mask] = [(a, row) for a, row in rows if row]
+        ci, cj = cols[i], cols[j]
+        for a, row in cases:
+            bad |= ci[a] & cj[row]
+    for op, i, j, k in triples:
+        cases = _CASES.get(op.values)
+        if cases is None:
+            cases = _CASES[op.values] = [
+                (1 << a, [(sum(1 << b for b, w in enumerate(row) if w == v), 1 << v)
+                          for v in ELEMENTS if v in row])
+                for a in ELEMENTS for row in [op.values[3 * a:3 * a + 3]]
+            ]
+        ci, cj, ck = cols[i], cols[j], cols[k]
+        for a, row in cases:
+            if ci[a]:
+                kept = 0
+                for b, v in row:
+                    kept |= cj[b] & ck[v]
+                bad |= ci[a] & ~kept
+    return bad
+
+
+def _flags(bits: int, count: int) -> bytes:
+    """One byte per map of a batch: bit m of bits as 0 or 1."""
+    return format(bits, f"0{count}b").encode()[::-1].translate(_FLAG_BYTES)
 
 
 def break_flags(
@@ -174,15 +228,9 @@ def break_flags(
     """One byte per map: 1 if it breaks one of the given relations or
     partial operations on the carrier of space, 0 if it preserves them all.
 
-    The maps are tested together.  Column (i, v) holds one 0/1 byte per map,
-    1 where the map sends carrier index i to v, so `&`, `|` and `& ~` act on
-    every map at once without carries.  A related pair (i, j) fails the maps
-    in col(i, a) & col(j, b) for each (a, b) outside the relation.  A triple
-    (i, j, k) of op fails them there for (a, b) outside op's domain, and in
-    col(i, a) & col(j, b) & ~col(k, op(a, b)) inside it; a triple whose
-    result leaves the carrier fails every map.  The pairs or triples of one
-    value case are combined in C (`map`, `reduce`); for an operation, only
-    the triples with a nonzero column (i, a) take part.
+    The maps are tested together, one bit each in the columns of
+    `_columns`, against every related pair and operation triple by
+    `_broken`; a triple whose result leaves the carrier fails every map.
     """
     size = space.size
     for m in maps:
@@ -192,41 +240,13 @@ def break_flags(
     stray = blob.translate(None, b"\0\1\2")
     if stray:
         raise ValueError(f"map value {stray[0]} is not a code 0, 1 or 2")
-    col = []  # col[v][i] is column (i, v)
-    for one_hot in _ONE_HOT:
-        hot = blob.translate(one_hot)
-        col.append([int.from_bytes(hot[i::size], "little") for i in range(size)])
-    bad = 0
-    for rel in relations:
-        pairs = space.related_pairs(rel)
-        if not pairs:
-            continue
-        left, right = zip(*pairs)
-        for x in range(9):
-            if not rel.mask >> x & 1:
-                a, b = divmod(x, 3)
-                bad |= _or_of_ands(map(col[a].__getitem__, left), map(col[b].__getitem__, right))
-    # flipped[v][k] is ~col(k, v): the maps that do not send k to v
-    flipped = [[~c for c in cv] for cv in col] if partial_ops else []
-    for op in partial_ops:
-        triples = space.op_triples(op)
-        if not triples:
-            continue
-        firsts, _, results = zip(*triples)
-        if None in results:
-            return b"\1" * len(maps)
-        for a in ELEMENTS:
-            live = list(compress(triples, map(col[a].__getitem__, firsts)))
-            if not live:
-                continue
-            left, right, result = zip(*live)
-            for b in ELEMENTS:
-                columns = [map(col[a].__getitem__, left), map(col[b].__getitem__, right)]
-                v = op.values[3 * a + b]
-                if v is not None:
-                    columns.append(map(flipped[v].__getitem__, result))
-                bad |= _or_of_ands(*columns)
-    return bad.to_bytes(len(maps), "little")
+    if not maps:
+        return b""
+    pairs = [(rel, i, j) for rel in relations for i, j in space.related_pairs(rel)]
+    triples = [(op, *t) for op in partial_ops for t in space.op_triples(op)]
+    if any(t[3] is None for t in triples):
+        return b"\1" * len(maps)
+    return _flags(_broken(_columns(blob, size), pairs, triples), len(maps))
 
 
 def preserves_relation(f: MapLike, rel: BinaryRelation, space: StructuredSpace) -> bool:
@@ -281,66 +301,48 @@ class HomSet(Frozen):
         return FinitePoset.from_masks(tables, [t.order_mask for t in tables])
 
 
-def _compile_checks(space: StructuredSpace):
-    """Constraint tuples grouped by the largest carrier index they mention."""
-    checks: list[list[tuple]] = [[] for _ in range(space.size)]
-    for rel in space.relations:
-        for i, j in space.related_pairs(rel):
-            checks[max(i, j)].append(("r", i, j, rel.mask))
-    for op in space.partial_ops:
-        for i, j, k in space.op_triples(op):
-            checks[max(i, j, k)].append(("p", i, j, k, op.domain.mask, op.values))
-    return checks
-
-
-def _search_assignments(m: int, checks) -> Iterator[bytes]:
-    """Depth-first search over all assignments, in canonical (lex) order."""
-    assign = bytearray(m)
-
-    def ok(t: int) -> bool:
-        for c in checks[t]:
-            if c[0] == "r":
-                _, i, j, mask = c
-                if not mask >> (3 * assign[i] + assign[j]) & 1:
-                    return False
-            else:
-                _, i, j, k, dmask, values = c
-                idx = 3 * assign[i] + assign[j]
-                if not dmask >> idx & 1:
-                    return False
-                if values[idx] != assign[k]:
-                    return False
-        return True
-
-    def rec(t: int) -> Iterator[bytes]:
-        if t == m:
-            yield bytes(assign)
-            return
-        for v in range(3):
-            assign[t] = v
-            if ok(t):
-                yield from rec(t + 1)
-
-    yield from rec(0)
-
-
 def enumerate_homs_bruteforce(
     space: StructuredSpace, carrier_cap: int = DEFAULT_CARRIER_CAP
 ) -> HomSet:
     """Exhaustive search for all structure-preserving maps carrier -> S.
 
-    The search walks the full 3^|carrier| assignment tree in canonical
-    order, abandoning a branch as soon as a constraint on the assigned
-    prefix fails.
+    The search walks the 3^|carrier| assignment tree depth-first, in
+    canonical order, a batch of prefixes at a time.  Each related pair and
+    operation triple is checked by `_broken` at its largest index t, where
+    every prefix of a batch is extended by 0, h and 1; the survivors go one
+    level down in batches of at most `_SEARCH_BATCH`.
     """
     if space.size > carrier_cap:
         raise CapExceededError(
             f"carrier has {space.size} points (cap {carrier_cap}); "
             f"enumeration would require 3^{space.size} = {3 ** space.size} candidates"
         )
-    checks = _compile_checks(space)
-    maps = tuple(_search_assignments(space.size, checks))
-    return HomSet(space, maps)
+    size = space.size
+    levels = [([], []) for _ in range(size)]
+    for rel in space.relations:
+        for i, j in space.related_pairs(rel):
+            levels[max(i, j)][0].append((rel, i, j))
+    for op in space.partial_ops:
+        for i, j, k in space.op_triples(op):
+            levels[max(i, j, k)][1].append((op, i, j, k))
+
+    def grow(batch: list[bytes], t: int) -> Iterator[list[bytes]]:
+        """The leaves below a batch of prefixes of length t, in batches."""
+        if t == size:
+            yield batch
+            return
+        pairs, triples = levels[t]
+        width = 3 * len(batch)
+        kept = iter(range(width))  # prefix q // 3 extended by value q % 3
+        if pairs or triples:
+            blob = b"".join([p + v for p in batch for v in _CODES])
+            bad = _broken(_columns(blob, t + 1), pairs, triples)
+            kept = compress(kept, _flags(bad ^ (1 << width) - 1, width))
+            del blob  # a level holds only its batch; survivors are rebuilt from it
+        while chunk := [batch[q // 3] + _CODES[q % 3] for q in islice(kept, _SEARCH_BATCH)]:
+            yield from grow(chunk, t + 1)
+
+    return HomSet(space, tuple(chain.from_iterable(grow([b""], 0))))
 
 
 def _close(elems: list, step) -> list:

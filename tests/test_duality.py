@@ -19,7 +19,6 @@ from hairycube.duality import (
     evaluation_map_check,
     ftc_check,
     homs_for_variant,
-    lambda_op,
     optimality_witnesses,
     persistence_check,
     total_homs,
@@ -55,9 +54,6 @@ def test_lambda_graphs_frozen():
     assert set(LAMBDA2.graph()) == LAMBDA2_GRAPH
     assert LAMBDA1.domain == R1
     assert LAMBDA2.domain == R1.inverse()
-    assert lambda_op(1) is LAMBDA1 and lambda_op(2) is LAMBDA2
-    with pytest.raises(ValueError):
-        lambda_op(3)
 
 
 def test_lambdas_are_algebraic():

@@ -5,6 +5,7 @@ import hashlib
 import json
 from itertools import product
 from operator import or_
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from hairycube.core import (
     tuple_join,
     tuple_meet,
 )
-from hairycube.duality import JOIN, LAMBDA1, LAMBDA2, MEET, PI1, PI2
+from hairycube import homsets
+from hairycube.duality import JOIN, LAMBDA1, LAMBDA2, MEET, PI1, PI2, homs_for_variant
 from hairycube.homsets import (
     CapExceededError,
     HomSet,
@@ -123,6 +125,12 @@ def test_bruteforce_at_arity_three_agrees_with_clone():
     brute = enumerate_homs_bruteforce(StructuredSpace.power(3), carrier_cap=27)
     assert brute.maps == clone_closure(3).maps
     assert lift(clone_closure(2)).maps == brute.maps
+
+
+def test_search_at_arity_four_agrees_with_the_lifted_clone():
+    search = homs_for_variant(4, "relational", carrier_cap=81)
+    assert len(search) == 319107
+    assert search.maps == lift(clone_closure(3)).maps
 
 
 def test_carrier_cap_enforced():
@@ -339,8 +347,13 @@ def test_search_matches_naive_filter(points, relations, partial_ops):
         space = StructuredSpace.from_points(points, relations, partial_ops)
     except ValueError:
         return  # not closed under one of the partial operations
+    naive = _naive_homs(space)
     homs = enumerate_homs_bruteforce(space, carrier_cap=space.size)
-    assert homs.maps == _naive_homs(space)
+    assert homs.maps == naive
+    # One prefix per batch: every batch is split, and the walk still keeps
+    # the canonical order.
+    with patch.object(homsets, "_SEARCH_BATCH", 1):
+        assert enumerate_homs_bruteforce(space, carrier_cap=space.size).maps == naive
     for values in product(ELEMENTS, repeat=space.size):
         assert (bytes(values) in homs.maps) == (
             all(preserves_relation(values, rel, space) for rel in relations)
