@@ -11,19 +11,10 @@ isomorphisms, and persistence of the hom-set geometry across variants.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
-from .core import (
-    ELEMENTS,
-    Element,
-    H,
-    ONE,
-    TritTable,
-    ZERO,
-    all_tuples,
-    join,
-    meet,
-)
+from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import (
     DEFAULT_CARRIER_CAP,
@@ -35,6 +26,7 @@ from .homsets import (
     enumerate_homs_bruteforce,
     preserves_relation,
 )
+from .posets import FinitePoset
 from .relations import (
     R1,
     R2,
@@ -90,17 +82,8 @@ LAMBDA2 = PartialOp.from_graph(
 )
 
 
-def _total_op(name: str, fn) -> PartialOp:
-    return PartialOp.from_graph(name, FULL, ((a, b, fn(a, b)) for a, b in FULL.pairs()))
-
-
-PI1 = _total_op("pi1", lambda a, b: a)
-PI2 = _total_op("pi2", lambda a, b: b)
-MEET = _total_op("meet", meet)
-JOIN = _total_op("join", join)
-# The constant c, as the relation whose only pair is (c, c): a map preserves
-# it on a carrier exactly when it sends the constant tuple (c, ..., c) to c.
-_CONSTANTS = tuple(BinaryRelation.from_pairs([(c, c)]) for c in ELEMENTS)
+PI1 = PartialOp.from_graph("pi1", FULL, ((a, b, a) for a, b in FULL.pairs()))
+PI2 = PartialOp.from_graph("pi2", FULL, ((a, b, b) for a, b in FULL.pairs()))
 
 
 class StructureVariant(NamedTuple):
@@ -157,21 +140,40 @@ def homs_for_variant(n: int, variant_name: str, carrier_cap: int = DEFAULT_CARRI
 
 
 def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
-    """All maps from a subalgebra carrier to S preserving componentwise meet
-    and join and fixing the constants: the hom-set of the carrier with meet
-    and join as total operations and the constants as relations; maps are
-    `bytes` of value codes, as in `HomSet`."""
-    space = StructuredSpace.from_points(carrier, _CONSTANTS, (MEET, JOIN))
-    if any((c,) * space.arity not in space.carrier for c in ELEMENTS):
+    """The maps from a carrier to S keeping componentwise meet, join and the
+    constants: `bytes` of value codes at the sorted carrier's indices, sorted.
+
+    Such a map is its pair of prime filters f^-1{h, 1} and f^-1{1}, nested,
+    with the h-tuple in the first only.  In a finite distributive lattice
+    they are the upsets of join-irreducibles (Birkhoff), so each jh <= j1
+    with jh below the h-tuple and j1 not gives f(a) = [jh <= a] + [j1 <= a].
+    Bar needs no check on a subalgebra: bar a is the complement of a v h in
+    [h, 1], so f(bar a) is the (unique) one of f(a) v h in S: bar f(a).
+    """
+    points = sorted(set(map(tuple, carrier)))
+    if not points or len(set(map(len, points))) != 1:
+        raise ValueError("carrier must be a nonempty set of points of one width")
+    k = len(points[0])
+    # A point's two planes side by side, so & and | are meet and join; the
+    # one point of S^0, the empty tuple, has no planes to read.
+    masks = [ge_h << k | ge_1 for ge_h, ge_1 in map(planes, points)] if k else [0]
+    known = set(masks)
+    if any(not known.issuperset([a & b for b in masks] + [a | b for b in masks]) for a in masks):
+        raise ValueError("carrier is not closed under componentwise meet and join")
+    if any((c,) * k not in points for c in ELEMENTS):
         raise ValueError("carrier does not contain the constant tuples")
-    # No carrier cap here: every caller bounds the arity of the carrier.
-    return enumerate_homs_bruteforce(space, carrier_cap=space.size).maps
+    order = FinitePoset.from_masks(points, masks)
+    ups = {j: bytes(order.down_mask(i) >> j & 1 for i in range(order.n))
+           for j in order.join_irreducible_indices()}
+    h = order.index((H,) * k)
+    return tuple(sorted(bytes(map(add, up_h, up_1)) for up_h in ups.values() if up_h[h]
+                        for j1, up_1 in ups.items() if up_h[j1] and not up_1[h]))
 
 
 def total_homs(n: int) -> tuple[TritTable, ...]:
     """Algebra homomorphisms S^n -> S; expected to be the projections."""
-    if n > 2:
-        raise CapExceededError(f"total hom enumeration capped at arity 2, got {n}")
+    if n > 6:
+        raise CapExceededError(f"total hom enumeration capped at arity 6, got {n}")
     return tuple(TritTable(n, f) for f in algebra_homs(all_tuples(n)))
 
 
@@ -377,8 +379,6 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     if not carrier:
         raise ValueError("carrier must be nonempty")
     k = len(carrier[0])
-    if k > 2:
-        raise CapExceededError(f"evaluation check capped at powers <= 2, got {k}")
     if not is_subuniverse(carrier, k):
         raise ValueError("carrier is not a subuniverse")
 

@@ -25,9 +25,7 @@ which carrier indices each of its relations and operations constrains
 and operation values: it tests a batch of maps, one bit each in integer
 columns, against related pairs and operation triples with a few `&` and
 `|` per entry.  The search runs it level by level on batches of prefixes,
-`break_flags` on whole hom-sets (`preserves_*` are its one-map calls).  The
-algebra homs of `duality.algebra_homs` are a search with meet and join as
-total operations and the constants as relations.
+`break_flags` on whole hom-sets (`preserves_*` are its one-map calls).
 """
 
 from __future__ import annotations

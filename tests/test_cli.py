@@ -17,11 +17,17 @@ UNARY = ["000", "0hh", "0h1", "hhh", "hh1", "11h", "111"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def cli_env():
+    """The package's source directory on the path, whatever the caller's."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hairycube.cli", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
         cwd=ROOT,
     )
 
@@ -207,7 +213,7 @@ def test_console_entry_matches_module_invocation():
         runs.append([installed, *args])
     for argv in runs:
         by_entry = subprocess.run(
-            argv, capture_output=True, text=True, cwd=ROOT
+            argv, capture_output=True, text=True, env=cli_env(), cwd=ROOT
         )
         assert by_module.returncode == by_entry.returncode == 0, by_entry.stderr
         assert by_module.stdout == by_entry.stdout

@@ -1,10 +1,24 @@
 """Partial operations, witnesses, entailment, evaluation, persistence."""
 
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hairycube.core import ELEMENTS, H, ONE, TritTable, ZERO, all_tuples, join, meet
+from hairycube.core import (
+    ELEMENTS,
+    H,
+    ONE,
+    TritTable,
+    ZERO,
+    all_tuples,
+    join,
+    meet,
+    tuple_join,
+    tuple_meet,
+)
 from hairycube.duality import (
     LAMBDA1,
     LAMBDA2,
@@ -25,12 +39,19 @@ from hairycube.duality import (
     variant,
     verify_algebraic,
 )
-from hairycube.homsets import CapExceededError, clone_closure
+from hairycube.homsets import (
+    CapExceededError,
+    StructuredSpace,
+    clone_closure,
+    enumerate_homs_bruteforce,
+)
 from hairycube.relations import (
     DIAGONAL,
+    FULL,
     R1,
     R2,
     R3,
+    BinaryRelation,
     PartialOp,
     canonical_name,
     enumerate_subalgebras,
@@ -105,8 +126,12 @@ def test_total_homs_are_projections():
         str(TritTable.projection(2, 1)),
         str(TritTable.projection(2, 2)),
     }
+    for n in range(7):  # S^0 is one point where the constants coincide: no homs
+        homs = total_homs(n)
+        assert len(homs) == n
+        assert set(homs) == {TritTable.projection(n, i) for i in range(1, n + 1)}
     with pytest.raises(CapExceededError):
-        total_homs(3)
+        total_homs(7)
 
 
 def test_algebra_homs_input_validation():
@@ -117,6 +142,14 @@ def test_algebra_homs_input_validation():
     with pytest.raises(ValueError):
         # contains constants but meets escape: (0,1) ^ (h,h) = (0,h)
         algebra_homs(((ZERO, ZERO), (H, H), (ONE, ONE), (ZERO, ONE)))
+    with pytest.raises(ValueError):
+        # closed under meet, but (0,1) v (h,h) = (h,1) is missing
+        algebra_homs(((Z, Z), (Z, H), (Z, O), (H, H), (O, O)))
+    with pytest.raises(ValueError):
+        # closed under join, but (0,1) ^ (h,h) = (0,h) is missing
+        algebra_homs(((Z, Z), (Z, O), (H, H), (H, O), (O, O)))
+    with pytest.raises(ValueError):
+        algebra_homs(((Z,), (H,), (O,), (Z, Z)))  # points of two widths
 
 
 def _naive_algebra_homs(carrier):
@@ -135,12 +168,84 @@ def _naive_algebra_homs(carrier):
     return tuple(kept)
 
 
+MEET = PartialOp.from_graph("meet", FULL, ((a, b, meet(a, b)) for a, b in FULL.pairs()))
+JOIN = PartialOp.from_graph("join", FULL, ((a, b, join(a, b)) for a, b in FULL.pairs()))
+# The constant c, as the relation whose only pair is (c, c): a map preserves
+# it on a carrier exactly when it sends the constant tuple (c, ..., c) to c.
+CONSTANTS = tuple(BinaryRelation.from_pairs([(c, c)]) for c in ELEMENTS)
+
+
+def _searched_algebra_homs(carrier):
+    """The hom-set of the carrier with meet and join as total operations and
+    the constants as relations, found by the exhaustive search."""
+    space = StructuredSpace.from_points(carrier, CONSTANTS, (MEET, JOIN))
+    return enumerate_homs_bruteforce(space, carrier_cap=space.size).maps
+
+
+def _free_algebra(n):
+    """F(n): the n-ary clone as points of S^(3^n)."""
+    return tuple(tuple(m) for m in clone_closure(n).maps)
+
+
+def _evaluations(points):
+    """The maps a |-> a[i] on sorted points, one per coordinate, sorted."""
+    points = sorted(points)
+    return tuple(sorted(bytes(p[i] for p in points) for i in range(len(points[0]))))
+
+
+# r3 with (h,1) added is closed under meet and join but not under bar:
+# bar (h,1) = (1,h).  The contract asks for no bar.
+R3_WITH_H1 = tuple(sorted(R3.pairs() + ((H, O),)))
+
+
 def test_algebra_homs_match_naive_filter():
     # S, then the 13 subalgebras of S², the last of which is S² itself
     carriers = [all_tuples(1)] + [r.pairs() for r in enumerate_subalgebras().elements]
     assert len(carriers) == 14 and carriers[-1] == all_tuples(2)
-    for carrier in carriers:
+    for carrier in carriers + [_free_algebra(1), R3_WITH_H1]:
         assert algebra_homs(carrier) == _naive_algebra_homs(carrier)
+
+
+def test_algebra_homs_match_the_search():
+    carriers = [all_tuples(1)] + [r.pairs() for r in enumerate_subalgebras().elements]
+    carriers += [_free_algebra(1), _free_algebra(2), R3_WITH_H1]
+    for carrier in carriers:
+        assert algebra_homs(carrier) == _searched_algebra_homs(carrier)
+    # 3^35 maps are too many for the naive filter; the dual of F(2) is the
+    # evaluations at the 9 points of S²
+    assert algebra_homs(_free_algebra(2)) == _evaluations(_free_algebra(2))
+    # jh in {(0,h), (h,0)} below the h-tuple, j1 in {(h,1), (1,1)} above it
+    assert len(algebra_homs(R3_WITH_H1)) == 4
+
+
+def test_algebra_homs_of_the_free_algebra_on_three_generators():
+    # 775 points of S^27, out of the search's reach; its dual is the 27
+    # evaluations at the points of S³
+    points = _free_algebra(3)
+    assert len(points) == 775
+    start = time.perf_counter()
+    homs = algebra_homs(points)
+    elapsed = time.perf_counter() - start
+    assert homs == _evaluations(points)
+    assert elapsed < 1.0
+
+
+def _closure(points):
+    """The least set holding the points and the constants of S³ that is
+    closed under componentwise meet and join."""
+    closed = set(points) | {(c,) * 3 for c in ELEMENTS}
+    while True:
+        more = {op(u, v) for u in closed for v in closed for op in (tuple_meet, tuple_join)}
+        if more <= closed:
+            return tuple(sorted(closed))
+        closed |= more
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(all_tuples(3)), max_size=6))
+def test_algebra_homs_match_the_search_on_drawn_lattices(points):
+    carrier = _closure(points)
+    assert algebra_homs(carrier) == _searched_algebra_homs(carrier)
 
 
 EXPECTED_HOM_COUNTS = {
@@ -280,8 +385,13 @@ def test_evaluation_rejects_an_empty_carrier():
 def test_evaluation_rejects_non_subuniverse():
     with pytest.raises(ValueError):
         evaluation_map_check(((ZERO, ZERO), (H, H), (ONE, ONE), (H, ONE)))
-    with pytest.raises(CapExceededError):
-        evaluation_map_check(all_tuples(3))
+    # S³ is in reach of every variant; S⁴ is past what is_subuniverse decides
+    for name in VARIANTS:
+        rep = evaluation_map_check(all_tuples(3), name)
+        assert rep.passed
+        assert (rep.carrier_size, rep.dual_size, rep.double_dual_size) == (27, 3, 27)
+    with pytest.raises(ValueError, match="k must be 1, 2 or 3"):
+        evaluation_map_check(all_tuples(4))
 
 
 def test_persistence():

@@ -19,12 +19,14 @@ from hairycube.core import (
     TritTable,
     ZERO,
     all_tuples,
+    join,
+    meet,
     tuple_bar,
     tuple_join,
     tuple_meet,
 )
 from hairycube import homsets
-from hairycube.duality import JOIN, LAMBDA1, LAMBDA2, MEET, PI1, PI2, homs_for_variant
+from hairycube.duality import LAMBDA1, LAMBDA2, PI1, PI2, homs_for_variant
 from hairycube.homsets import (
     CapExceededError,
     HomSet,
@@ -38,7 +40,7 @@ from hairycube.homsets import (
     preserves_relation,
     slice_first,
 )
-from hairycube.relations import R1, R2, R3, BinaryRelation, PartialOp
+from hairycube.relations import FULL, R1, R2, R3, BinaryRelation, PartialOp
 
 UNARY = ("000", "0hh", "0h1", "hhh", "hh1", "11h", "111")
 
@@ -375,6 +377,8 @@ def _naive_preserves_partial_op(values, op, space):
 
 
 RELATIONS = (R1, R2, R3)
+MEET = PartialOp.from_graph("meet", FULL, ((a, b, meet(a, b)) for a, b in FULL.pairs()))
+JOIN = PartialOp.from_graph("join", FULL, ((a, b, join(a, b)) for a, b in FULL.pairs()))
 # pi1 and pi2 are total and preserved by every map; meet and join are
 # total operations that most maps break.
 OPERATIONS = (LAMBDA1, LAMBDA2, PI1, PI2, MEET, JOIN)

@@ -69,11 +69,13 @@ PINNED = {
 }
 
 
-def _stdout(argv, env=None):
+def _stdout(argv, **variables):
+    """The command's stdout, run with the package's source directory on the
+    path and any extra environment variables."""
     result = subprocess.run(
         [sys.executable, "-m", "hairycube.cli", *argv],
         capture_output=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **variables),
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr.decode()
@@ -88,8 +90,8 @@ def test_cli_output_matches_pinned_digest(command):
 def test_homs_n3_ignores_the_old_cap_variables():
     # The library reads no environment: variables named like caps change
     # neither the route nor a byte.
-    env = dict(os.environ, HAIRYCUBE_CARRIER_CAP="27", HAIRYCUBE_CLONE_ARITY_CAP="2")
-    out = _stdout(["homs", "--n", "3"], env=env)
+    out = _stdout(["homs", "--n", "3"], HAIRYCUBE_CARRIER_CAP="27",
+                  HAIRYCUBE_CLONE_ARITY_CAP="2")
     assert hashlib.sha256(out).hexdigest() == PINNED["homs --n 3"]
 
 
