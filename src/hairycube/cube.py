@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .core import ELEMENTS, Element, H, TritTable
 from .homsets import CapExceededError, assemble, clone_closure, slice_first
-from .posets import FinitePoset
+from .posets import FinitePoset, _bits
 
 
 def join_irreducibles(lattice: FinitePoset) -> FinitePoset:
@@ -100,9 +100,11 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
     """The join-irreducible poset built by the two slice constructors.
 
     Dimension 1 is the explicit four-element base case; dimension n glues,
-    for each join-irreducible psi one arity down, the tables
-    (0, psi^h, psi) and (psi, psi, psi^h), whose descriptors prepend p1 and
-    ~p1 to psi's (`polynomial_form` reads them back as the independent check).
+    for each join-irreducible p one arity down, a_p = (0, p^h, p) and
+    b_p = (p, p, p^h), whose descriptors prepend p1 and ~p1 to p's
+    (`polynomial_form` reads them back as the independent check).  Tables
+    compare slice by slice: a_p <= a_q and b_p <= b_q iff p <= q, a_p <= b_q
+    iff p <= q and p's ge_1 plane is 0, b_p <= a_q iff p's ge_h plane is 0.
     Dimensions above MAX_CUBE_DIMENSION raise CapExceededError.
     """
     if n < 1:
@@ -111,18 +113,32 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
         raise CapExceededError(
             f"hairy cube requested at dimension {n} exceeds the cap {MAX_CUBE_DIMENSION}"
         )
-    if n == 1:
-        tables = map(TritTable.from_string, ("0hh", "hhh", "0h1", "11h"))
-        elements = [JIElement(t, *polynomial_form(t, 1)) for t in tables]
-    else:
-        zero = TritTable.constant(n - 1, Element.ZERO)
-        elements = []
-        for prev in hairy_cube_recursive(n - 1).elements:
-            psi, psi_h, eps = prev.table, prev.table.meet_h(), prev.epsilon
-            elements.append(JIElement(assemble(zero, psi_h, psi), (0,) + eps, prev.meet_h))
-            elements.append(JIElement(assemble(psi, psi, psi_h), (1,) + eps, prev.meet_h))
-    elements.sort()
+    if n > 1:
+        return _glue(hairy_cube_recursive(n - 1))
+    tables = map(TritTable.from_string, ("0hh", "hhh", "0h1", "11h"))
+    elements = sorted(JIElement(t, *polynomial_form(t, 1)) for t in tables)
     return FinitePoset.from_masks(elements, [e.table.order_mask for e in elements])
+
+
+def _glue(prev: FinitePoset) -> FinitePoset:
+    """The glued poset of a poset of JIElements, sorted, its order read off
+    prev's rows by the slice rule of `hairy_cube_recursive`."""
+    ps = [e.table for e in prev.elements]
+    if not all(p.ge_h for p in ps):
+        raise ValueError("a zero table glues to the zero table twice")
+    zero = TritTable.constant(ps[0].arity, Element.ZERO)
+    glued = [JIElement(assemble(zero, p.meet_h(), p), (0,) + e.epsilon, e.meet_h)
+             for p, e in zip(ps, prev.elements)]
+    glued += [JIElement(assemble(p, p, p.meet_h()), (1,) + e.epsilon, e.meet_h)
+              for p, e in zip(ps, prev.elements)]
+    # a_i sits at index i and b_i at m + i until the sort moves every bit
+    m, low = prev.n, sum(1 << i for i, p in enumerate(ps) if not p.ge_1)
+    down = [prev.down_mask(i) for i in range(m)]
+    down += [d << m | d & low for d in down]
+    order = sorted(range(2 * m), key=glued.__getitem__)
+    bit = {old: 1 << new for new, old in enumerate(order)}
+    return FinitePoset([glued[i] for i in order],
+                       [sum(bit[j] for j in _bits(down[i])) for i in order])
 
 
 def _element_table(x) -> TritTable:

@@ -11,8 +11,8 @@ Costs, for N elements whose masks are `width` bits wide:
   D distinct bit columns and reads both rows off them in N*D steps
   (D = 16 against N = 775 for the 3-ary hom-set lattice);
 - `from_masks` with wider masks tests all N*N pairs, the smaller cost there
-  (the 7-dimensional hairy cube: N = 256 masks of 4,374 bits, 256 columns),
-  and transposes the down rows into the up rows in C;
+  (`open_set_order` on the 3-dimensional hairy cube: 16 masks of 775 bits,
+  one per open set), and transposes the down rows into the up rows in C;
 - `from_leq` calls `leq` N*N times;
 - covers peel the maxima off each strict downset, in steps that scale with
   the covers rather than with the comparable pairs;

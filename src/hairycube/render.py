@@ -8,6 +8,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .core import codes_text
 from .cube import chi_lattice, hairy_cube_recursive
@@ -23,7 +24,34 @@ SCHEMA = 1
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
+    """Byte-equal to `json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`,
+    escaping each distinct string once (json's indenting encoder escapes it at
+    every occurrence); a key that is not a string raises TypeError."""
+    out, escape = [], lru_cache(maxsize=None)(json.encoder.encode_basestring)
+
+    def emit(value, indent: str) -> None:
+        if isinstance(value, str):
+            out.append(escape(value))
+        elif isinstance(value, dict) and value:
+            inner, sep = indent + "  ", "{"
+            for key, item in value.items():
+                out.append(f"{sep}{inner}{escape(key)}: ")
+                emit(item, inner)
+                sep = ","
+            out.append(indent + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner, sep = indent + "  ", "["
+            for item in value:
+                out.append(sep + inner)
+                emit(item, inner)
+                sep = ","
+            out.append(indent + "]")
+        else:
+            out.append(json.dumps(value))
+
+    emit(payload, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _quote(label: str) -> str:

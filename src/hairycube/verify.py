@@ -317,7 +317,8 @@ def suite_hairy_cube(n_max: int | None = None) -> SuiteReport:
         )
         extracted = extracted_hairy_cube(n)
         ji = {e.table for e in cube.elements}
-        same = ji == set(extracted.elements)
+        same = ji == set(extracted.elements) and set(extracted.cover_pairs()) == {
+            (a.table, b.table) for a, b in cube.cover_pairs()}
         checks.append(
             Check(f"recursive-vs-extracted-n{n}",
                   "recursive construction equals the join-irreducibles of the "

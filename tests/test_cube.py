@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube.core import H, TritTable
+from hairycube.core import ZERO, H, TritTable
 from hairycube.cube import (
+    JIElement,
     PartiallyStoneSpaceFinite,
+    _glue,
     chi_lattice,
     eta,
     eval_polynomial,
@@ -51,6 +53,40 @@ def test_recursive_equals_extracted():
             lambda x, y: x.table.leq(y.table),
         )
         assert mirrored == rec
+
+
+def _mask_order(elements):
+    """The reference route: tables ordered by inclusion of their plane masks."""
+    elements = sorted(elements)
+    return FinitePoset.from_masks(elements, [e.table.order_mask for e in elements])
+
+
+def _assert_same_order(poset, oracle):
+    assert poset.elements == oracle.elements
+    assert (poset._down, poset._up) == (oracle._down, oracle._up)
+    assert poset.cover_index_pairs() == oracle.cover_index_pairs()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_glued_order_matches_the_plane_masks(n):
+    cube = hairy_cube_recursive(n)
+    _assert_same_order(cube, _mask_order(cube.elements))
+
+
+# Any nonzero binary tables: the slice rule does not assume the hairy shape.
+@given(st.sets(st.tuples(*[st.integers(0, 2)] * 9).filter(any), min_size=1, max_size=12))
+def test_glue_matches_the_plane_masks_off_the_cube(entries):
+    prev = _mask_order(JIElement(TritTable(2, e), (0, 0), False) for e in entries)
+    glued = _glue(prev)
+    assert glued.n == 2 * prev.n
+    _assert_same_order(glued, _mask_order(glued.elements))
+
+
+def test_glue_refuses_the_zero_table():
+    # (0, 0^h, 0) and (0, 0, 0^h) are both the zero table
+    zero = JIElement(TritTable.constant(1, ZERO), (0,), True)
+    with pytest.raises(ValueError, match="zero table"):
+        _glue(_mask_order([zero, *hairy_cube_recursive(1).elements]))
 
 
 def test_shape_clauses_pass():

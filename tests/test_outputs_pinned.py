@@ -6,7 +6,8 @@ before the lattice code was merged into one class; the arity-3 chi and
 dimension-7 cube digests before every order was built from inclusion
 masks; homs --n 3 when its pin moved over from the benchmark; the
 strong-min and optimal-strong homs --n 3 JSON before the clone-filter
-checked the whole clone in one pass) and must never be regenerated from
+checked the whole clone in one pass; the dimension-7 cube DOT before the
+cube's order was glued from its slices) and must never be regenerated from
 changed code: a refactor that changes any exported byte fails here.  The
 arity-3 chi lattice (775 tables) and the dimension-7 hairy cube (256
 elements) are the pinned orders with hundreds of elements; they add about
@@ -60,6 +61,8 @@ PINNED = {
         "21de089186fbbda60065540056c05b653093ccd66f3079d3697c64715cef180e",
     "render hairy-cube --n 7 --format json":
         "3a24d4b611506979877a3bea6404376c47d0d3803950ed549a7a646686b83059",
+    "render hairy-cube --n 7 --format dot":
+        "5364e4e8d1ebfa9273990f2d9b72e209b79b5a7cdc1ae8b3e3520b449b59dd3f",
     "homs --n 3":
         "40c42c8fd517c87ace1fb1921b08100f466b83e7cd909f47511995d373e3d015",
     "homs --n 3 --format json --variant strong-min":
