@@ -164,7 +164,9 @@ class TritTable(Frozen):
     """Total map S^arity -> S as two bit planes over the 3^arity canonical
     argument positions: bit i of `ge_h` is set when entry i is h or 1, bit i
     of `ge_1` when it is 1.  `entries` and `str()` are memoised views, decoded
-    one hex nibble per entry; order is lexicographic on (arity, entries)."""
+    one hex nibble per entry; order is lexicographic on (arity, entries).
+    Equality and hash read (arity, ge_h, ge_1) directly, being the hottest
+    calls on tables (set and dict lookups)."""
 
     __slots__ = ("arity", "ge_h", "ge_1", "_entries", "_text")
 
@@ -186,8 +188,13 @@ class TritTable(Frozen):
         set_slot(self, "_entries", None)
         set_slot(self, "_text", None)
 
-    def _key(self) -> tuple[int, int, int]:
-        return self.arity, self.ge_h, self.ge_1
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ge_h == other.ge_h and self.ge_1 == other.ge_1 and self.arity == other.arity
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.ge_h, self.ge_1))
 
     @classmethod
     def from_planes(cls, arity: int, ge_h: int, ge_1: int) -> "TritTable":

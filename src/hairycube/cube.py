@@ -268,8 +268,15 @@ def open_set_order(opens, elements=None) -> FinitePoset:
     elements = tuple(elements)
     if set(elements) != points:
         raise ValueError("element list does not match the union of the opens")
-    # x <= y iff the opens that miss x are among those that miss y
-    masks = [sum(1 << k for k, o in enumerate(opens) if x not in o) for x in elements]
+    # x <= y iff the opens that miss x are among those that miss y; one pass
+    # over each open's members sets the opens that hold x
+    pos = {x: i for i, x in enumerate(elements)}
+    inside = [0] * len(elements)
+    for k, o in enumerate(opens):
+        for x in o:
+            inside[pos[x]] |= 1 << k
+    full = (1 << len(opens)) - 1
+    masks = [full & ~m for m in inside]
     if len(set(masks)) != len(masks):
         pairs = combinations(zip(elements, masks), 2)
         x, y = next((x, y) for (x, a), (y, b) in pairs if a == b)

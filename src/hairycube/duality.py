@@ -339,10 +339,12 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
             homs = enumerate_homs_bruteforce(space)
             maps_checked += len(homs)
-            r1_flags, r3_flags = (break_flags(homs.maps, space, (rel,)) for rel in (R1, R3))
-            for values, r1_bad, r3_bad in zip(homs.maps, r1_flags, r3_flags):
-                violations += [(n, subset, values, name)
-                               for name, bad in (("r1", r1_bad), ("r3", r3_bad)) if bad]
+            if any(break_flags(homs.maps, space, (R1, R3))):
+                # split by relation only to name the violations
+                named = [(name, break_flags(homs.maps, space, (rel,)))
+                         for name, rel in (("r1", R1), ("r3", R3))]
+                violations += [(n, subset, values, name) for m, values in enumerate(homs.maps)
+                               for name, flags in named if flags[m]]
     return EntailmentReport(max_power, substructures, maps_checked, tuple(violations))
 
 

@@ -13,7 +13,7 @@ writes.  Bytes sort like code tuples, which keeps hom-sets in canonical
 order, and the cyclic collector does not track them.  Tables and text are
 made from them only at the edges (`HomSet.tables`, output).
 
-The clone closes in three stages on (ge_h, ge_1) plane pairs: the
+The clone closes in three stages on one int per table (both planes): the
 generators under bar, then under meets, then under joins.  That is the
 whole clone, because bar is antitone, so the sublattice generated by a
 bar-closed set is bar-closed, and being distributive it is the joins of
@@ -85,12 +85,17 @@ class StructuredSpace(Frozen):
     def related_pairs(self, rel: BinaryRelation) -> tuple[tuple[int, int], ...]:
         """Index pairs (i, j) whose points are componentwise rel-related, in
         ascending order.  Bit j of col[c][a] is set when (a, coordinate c of
-        point j) is in rel, so point u's row of related j is the AND of
-        col[c][u[c]] over its coordinates c."""
+        point j) is in rel: col[c][a] is the union of the value masks of
+        coordinate c (its `planes` as 0, h and 1) over row a of rel.  Point
+        u's row of related j is the AND of col[c][u[c]] over its c."""
         if rel not in self._memo:
-            col = [[sum(1 << j for j, v in enumerate(self.carrier) if rel.contains(a, v[c]))
-                    for a in ELEMENTS] for c in range(self.arity)]
             full = (1 << self.size) - 1
+            col = []
+            for c in range(self.arity):
+                ge_h, ge_1 = planes(p[c] for p in self.carrier)
+                values = (full ^ ge_h, ge_h ^ ge_1, ge_1)
+                col.append([sum(m for v, m in enumerate(values) if rel.mask >> 3 * a + v & 1)
+                            for a in ELEMENTS])
             self._memo[rel] = tuple(
                 (i, j)
                 for i, u in enumerate(self.carrier)
@@ -103,10 +108,9 @@ class StructuredSpace(Frozen):
         k indexes the componentwise result, or is None when it leaves the
         carrier."""
         if op not in self._memo:
-            value = {(a, b): c for a, b, c in op.graph()}.__getitem__
-            carrier, index = self.carrier, self._index
+            values, carrier, index = op.values, self.carrier, self._index
             self._memo[op] = tuple(
-                (i, j, index.get(tuple(map(value, zip(carrier[i], carrier[j])))))
+                (i, j, index.get(tuple(values[3 * a + b] for a, b in zip(carrier[i], carrier[j]))))
                 for i, j in self.related_pairs(op.domain)
             )
         return self._memo[op]
@@ -344,10 +348,10 @@ def enumerate_homs_bruteforce(
 
 
 def _close(elems: list, step) -> list:
-    """Append to elems, in place, every new pair that step yields from a
+    """Append to elems, in place, every new member that step yields from a
     member, until step yields nothing new."""
     seen = set(elems)
-    for a in elems:  # also visits the pairs appended on the way
+    for a in elems:  # also visits the members appended on the way
         for t in step(a):
             if t not in seen:
                 seen.add(t)
@@ -357,8 +361,9 @@ def _close(elems: list, step) -> list:
 
 @lru_cache(maxsize=None)
 def _clone_entries(n: int) -> tuple[bytes, ...]:
-    """The clone's tables, closed as (ge_h, ge_1) plane pairs and read out
-    as entry codes once, sorted.
+    """The clone's tables, closed as one int per table (ge_h above ge_1, the
+    `order_mask` layout, so meet and join are `&` and `|` and order is mask
+    inclusion) and read out as entry codes once, sorted.
 
     The closure runs in three stages: the generators under bar, that set
     under meets with its own members, and the result under joins with the
@@ -371,25 +376,24 @@ def _clone_entries(n: int) -> tuple[bytes, ...]:
     kept meets at or below it (the constant 0 is the empty join), so
     joining with the kept meets alone reaches every join of meets.
     """
-    full = (1 << 3 ** n) - 1
+    width = 3 ** n
+    full = (1 << width) - 1
     gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
     gens += [TritTable.constant(n, c) for c in ELEMENTS]
-    barred = _close(list(dict.fromkeys((g.ge_h, g.ge_1) for g in gens)),
-                    lambda a: ((full, full & ~a[1]),))
-    meets = _close(list(barred),
-                   lambda a: ((a[0] & b_h, a[1] & b_1) for b_h, b_1 in barred))
+    # bar(x) has ge_h everywhere and ge_1 where x is not 1
+    barred = _close(list(dict.fromkeys(g.order_mask for g in gens)),
+                    lambda a: (full << width | full & ~a,))
+    meets = _close(list(barred), lambda a: (a & b for b in barred))
     irreducible = []
-    for a_h, a_1 in meets:
-        below_h = below_1 = 0
-        for b_h, b_1 in meets:
-            if not (b_h & ~a_h or b_1 & ~a_1) and (b_h, b_1) != (a_h, a_1):
-                below_h |= b_h
-                below_1 |= b_1
-        if (below_h, below_1) != (a_h, a_1):
-            irreducible.append((a_h, a_1))
-    elems = _close(list(meets),
-                   lambda a: ((a[0] | b_h, a[1] | b_1) for b_h, b_1 in irreducible))
-    return tuple(sorted(TritTable.from_planes(n, *t)._codes() for t in elems))
+    for a in meets:
+        below = 0
+        for b in meets:
+            if not b & ~a and b != a:
+                below |= b
+        if below != a:
+            irreducible.append(a)
+    elems = _close(list(meets), lambda a: (a | b for b in irreducible))
+    return tuple(sorted(TritTable.from_planes(n, t >> width, t & full)._codes() for t in elems))
 
 
 def clone_closure(n: int) -> HomSet:

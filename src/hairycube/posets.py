@@ -16,6 +16,8 @@ Costs, for N elements whose masks are `width` bits wide:
 - `from_leq` calls `leq` N*N times;
 - covers peel the maxima off each strict downset, in steps that scale with
   the covers rather than with the comparable pairs;
+- join-irreducibles take N lookups in the set of the N down rows and peel
+  no covers (16 of the 775 elements of the 3-ary hom-set lattice);
 - `downset_masks` stops once it holds more than `DOWNSET_CAP` downsets.
 """
 
@@ -191,9 +193,11 @@ class FinitePoset:
         return self._upper_covers[i]
 
     def join_irreducible_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.n) if len(self.lower_cover_indices(i)) == 1
-        )
+        """The indices with exactly one lower cover: those whose strict
+        downset is principal, i.e. `down[i]` without i is some element's
+        down row (that element is then the one lower cover)."""
+        rows = set(self._down)
+        return tuple(i for i, d in enumerate(self._down) if d & ~(1 << i) in rows)
 
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)

@@ -325,18 +325,16 @@ def suite_hairy_cube(n_max: int | None = None) -> SuiteReport:
                   f"hom-set lattice at arity {n}",
                   same, {"size": cube.n})
         )
-        base = [e for e in cube.elements if e.is_base]
-        etas = {eta(n, e.table) for e in base}
+        coords = {e.table: eta(n, e.table) for e in cube.elements if e.is_base}
         order_iso = all(
-            (e1.table.leq(e2.table))
-            == all(a <= b for a, b in zip(eta(n, e1.table), eta(n, e2.table)))
-            for e1 in base
-            for e2 in base
+            t1.leq(t2) == all(a <= b for a, b in zip(c1, c2))
+            for t1, c1 in coords.items()
+            for t2, c2 in coords.items()
         )
         checks.append(
             Check(f"eta-order-iso-n{n}",
                   f"eta maps the base bijectively and order-isomorphically onto 2^{n}",
-                  len(etas) == 2 ** n and order_iso)
+                  len(set(coords.values())) == 2 ** n and order_iso)
         )
         meet_h_ji = all(t.meet_h() in ji for t in ji)
         checks.append(

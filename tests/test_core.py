@@ -26,6 +26,7 @@ from hairycube.core import (
     tuple_join,
     tuple_meet,
 )
+from hairycube.cube import JIElement
 from hairycube.homsets import assemble, slice_first
 
 elements = st.sampled_from(ELEMENTS)
@@ -221,6 +222,30 @@ def test_table_planes_match_tuple_oracle(case):
     if x == y:
         assert hash(a) == hash(b)
     assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+
+
+tables = st.integers(min_value=0, max_value=2).flatmap(
+    lambda n: entry_tuples(n).map(lambda x: TritTable(n, x)))
+
+
+@given(tables, tables)
+def test_table_equality_and_hash_contract(a, b):
+    """Tables are equal iff their arities and entries are; equal tables hash
+    equal, to the hash of (arity, ge_h, ge_1); no other class compares equal."""
+    assert (a == b) == ((a.arity, a.entries) == (b.arity, b.entries)) == (not a != b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert hash(a) == hash((a.arity, a.ge_h, a.ge_1))
+    assert (a <= b) == (a < b or a == b) and (a >= b) == (not a < b)
+    for other in (JIElement(a, (), True), a.entries, str(a), (a.arity, a.ge_h, a.ge_1)):
+        assert a.__eq__(other) is NotImplemented
+        assert a != other and not other == a
+
+
+def test_tables_of_different_arities_are_unequal():
+    a, b = TritTable.constant(1, ZERO), TritTable.constant(2, ZERO)
+    assert (a.ge_h, a.ge_1) == (b.ge_h, b.ge_1)
+    assert a != b and len({a, b}) == 2 and a < b
 
 
 @pytest.mark.parametrize("n", range(4, 8))

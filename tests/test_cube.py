@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hairycube import verify
 from hairycube.core import ZERO, H, TritTable
 from hairycube.cube import (
     JIElement,
@@ -53,6 +54,7 @@ def test_recursive_equals_extracted():
             lambda x, y: x.table.leq(y.table),
         )
         assert mirrored == rec
+        assert set(ext.cover_pairs()) == {(a.table, b.table) for a, b in rec.cover_pairs()}
 
 
 def _mask_order(elements):
@@ -274,6 +276,26 @@ def test_alexandrov_roundtrip_random_subposets(indices):
     assert open_set_order(opens, elements=sub.elements) == sub
 
 
+@given(st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=8))
+def test_open_set_order_matches_the_specialisation_order(opens):
+    """Against x <= y iff every open holding y holds x, on drawn families of
+    sets; a family that does not separate its points must be refused."""
+    elements = sorted(set().union(*opens))
+    holding = {frozenset(k for k, o in enumerate(opens) if x in o) for x in elements}
+    if len(holding) < len(elements):
+        with pytest.raises(ValueError, match="not T0"):
+            open_set_order(opens)
+        return
+
+    def leq(x, y):
+        return all(x in o for o in opens if y in o)
+
+    # the sorted points by default, and a given element order
+    for order in (None, elements[::-1]):
+        oracle = FinitePoset.from_leq(order or elements, leq)
+        _assert_same_order(open_set_order(opens, elements=order), oracle)
+
+
 def test_open_set_order_rejects_non_t0():
     with pytest.raises(ValueError):
         open_set_order([frozenset(), frozenset({"a", "b"})])
@@ -370,3 +392,19 @@ def test_pss_base_membership_validated():
     poset = FinitePoset.from_leq(["a"], lambda x, y: x == y)
     with pytest.raises(ValueError):
         PartiallyStoneSpaceFinite.from_poset(poset, frozenset({"zz"}))
+
+
+def test_hairy_cube_suite_peels_the_covers_of_small_posets_only(monkeypatch):
+    """A work guard in place of a timing test: the suite reads the
+    join-irreducibles of the 775-element hom-set lattice off its down rows,
+    never peeling that lattice's covers."""
+    sizes = []
+    peel = FinitePoset.cover_index_pairs
+
+    def counted(self):
+        sizes.append(self.n)
+        return peel(self)
+
+    monkeypatch.setattr(FinitePoset, "cover_index_pairs", counted)
+    assert verify.suite_hairy_cube().passed
+    assert sizes and max(sizes) <= 64

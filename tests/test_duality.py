@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hairycube import duality
 from hairycube.core import (
     ELEMENTS,
     H,
@@ -44,6 +45,7 @@ from hairycube.homsets import (
     StructuredSpace,
     clone_closure,
     enumerate_homs_bruteforce,
+    preserves_relation,
 )
 from hairycube.relations import (
     DIAGONAL,
@@ -333,6 +335,24 @@ def test_entailment_exhaustive():
     assert report.violations == ()
     with pytest.raises(CapExceededError):
         entailment_lambda1(3)
+
+
+def test_entailment_names_each_violation(monkeypatch):
+    """With r2, which λ1 does not entail, standing in for r3, the report
+    lists exactly the maps that a per-map check finds breaking it."""
+    monkeypatch.setattr(duality, "R3", R2)
+    expected = []
+    for n in (1, 2):
+        for subset in duality._lambda1_closed_subsets(n):
+            space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
+            for values in enumerate_homs_bruteforce(space):
+                expected += [(n, subset, values, name)
+                             for name, rel in (("r1", R1), ("r3", R2))
+                             if not preserves_relation(values, rel, space)]
+    assert entailment_lambda1(2).violations == tuple(expected)
+    assert len(expected) == 272
+    assert {name for *_, name in expected} == {"r3"}
+    assert (1, all_tuples(1), b"\1\0\0", "r3") in expected
 
 
 @pytest.mark.parametrize("max_power", [0, -1])

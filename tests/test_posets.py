@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hairycube import homsets, posets
-from hairycube.cube import hairy_cube_recursive
+from hairycube.cube import chi_lattice, hairy_cube_recursive
 from hairycube.posets import CapExceededError, FinitePoset
 
 
@@ -282,6 +282,35 @@ def test_covers_match_the_transitive_reduction(case):
     for i in range(p.n):
         assert p.lower_cover_indices(i) == tuple(j for j, k in reduction if k == i)
         assert p.upper_cover_indices(i) == tuple(k for j, k in reduction if j == i)
+
+
+def _ji_by_covers(p: FinitePoset) -> tuple[int, ...]:
+    """The oracle: join-irreducibles as the elements with one lower cover."""
+    return tuple(i for i in range(p.n) if len(p.lower_cover_indices(i)) == 1)
+
+
+@st.composite
+def drawn_posets(draw):
+    """Inclusion of distinct drawn masks, or an induced subposet of the
+    binary hom-set lattice or of the 3-dimensional hairy cube."""
+    source = draw(st.sampled_from(["masks", "chi", "cube"]))
+    if source == "masks":
+        masks = draw(narrow_or_wide_masks())
+        return FinitePoset.from_masks(range(len(masks)), masks)
+    whole = chi_lattice(2) if source == "chi" else hairy_cube_recursive(3)
+    return whole.induced(sorted(draw(st.sets(st.integers(0, whole.n - 1)))))
+
+
+@given(drawn_posets())
+def test_join_irreducibles_match_the_one_lower_cover_oracle(p):
+    assert p.join_irreducible_indices() == _ji_by_covers(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_join_irreducibles_of_whole_hom_set_lattices(n):
+    lat = chi_lattice(n)
+    assert lat.join_irreducible_indices() == _ji_by_covers(lat)
+    assert len(lat.join_irreducible_indices()) == 2 ** (n + 1)
 
 
 def test_from_masks_rejects_equal_masks():
