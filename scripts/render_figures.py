@@ -13,14 +13,14 @@ from pathlib import Path
 # Run from a checkout without installing: the package lives in ../src.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hairycube.render import RENDERABLES, dumps  # noqa: E402
+from hairycube.cli import _emit  # noqa: E402
+from hairycube.render import RENDERABLES, json_chunks  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out"))
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
 
     jobs = []
     for target, (payload_fn, dot_fn, needs_n) in sorted(RENDERABLES.items()):
@@ -32,13 +32,10 @@ def main() -> int:
         else:
             jobs.extend((f"{stem}_n{n}", payload_fn, dot_fn, (n,)) for n in (1, 2, 3))
 
+    # the writer `hairycube render --out` uses: chunks, never a joined file
     for stem, payload_fn, dot_fn, fn_args in jobs:
-        json_path = args.out / f"{stem}.json"
-        json_path.write_text(dumps(payload_fn(*fn_args)), encoding="utf-8")
-        print(json_path)
-        dot_path = args.out / f"{stem}.dot"
-        dot_path.write_text(dot_fn(*fn_args), encoding="utf-8")
-        print(dot_path)
+        _emit(json_chunks(payload_fn(*fn_args)), args.out, f"{stem}.json")
+        _emit((line + "\n" for line in dot_fn(*fn_args)), args.out, f"{stem}.dot")
     return 0
 
 

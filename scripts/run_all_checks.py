@@ -12,7 +12,8 @@ from pathlib import Path
 # Run from a checkout without installing: the package lives in ../src.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hairycube.render import dumps  # noqa: E402
+from hairycube.cli import _emit  # noqa: E402
+from hairycube.render import json_chunks  # noqa: E402
 from hairycube.verify import report_lines, reports_payload, run_suite  # noqa: E402
 
 
@@ -28,10 +29,11 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the writer `hairycube verify` uses, to stdout: chunks, never one string
     if args.json:
-        sys.stdout.write(dumps(reports_payload(reports)))
+        _emit(json_chunks(reports_payload(reports)), None, "")
     else:
-        print("\n".join(report_lines(reports)))
+        _emit((line + "\n" for line in report_lines(reports)), None, "")
     return 0 if all(r.passed for r in reports) else 1
 
 

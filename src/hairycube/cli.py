@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .duality import VARIANTS, homs_for_variant, variant
@@ -19,17 +20,19 @@ from .homsets import (
     break_flags,
     clone_closure,
 )
-from .render import RENDERABLES, dumps, homset_payload, homset_text
+from .render import RENDERABLES, homset_payload, homset_text, json_chunks
 from .verify import SUITES, report_lines, reports_payload, run_suite
 
 
-def _emit(text: str, out: Path | None, filename: str) -> None:
+def _emit(chunks: Iterable[str], out: Path | None, filename: str) -> None:
+    """Write the chunks in order, never joined, to stdout or to out/filename (UTF-8)."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     out.mkdir(parents=True, exist_ok=True)
     target = out / filename
-    target.write_text(text, encoding="utf-8")
+    with target.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     print(target)
 
 
@@ -52,24 +55,24 @@ def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
 def cmd_homs(args: argparse.Namespace) -> int:
     homset, method = _homs(args.n, args.variant)
     if args.format == "json":
-        text = dumps(homset_payload(homset, args.variant, method))
+        chunks = json_chunks(homset_payload(homset, args.variant, method))
         ext = "json"
     else:
-        text = homset_text(homset, args.variant, method)
+        chunks = (line + "\n" for line in homset_text(homset, args.variant, method))
         ext = "txt"
-    _emit(text, args.out, f"homs_n{args.n}_{args.variant}.{ext}")
+    _emit(chunks, args.out, f"homs_n{args.n}_{args.variant}.{ext}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, args.n)
     if args.format == "json":
-        text = dumps(reports_payload(reports))
+        chunks = json_chunks(reports_payload(reports))
         ext = "json"
     else:
-        text = "\n".join(report_lines(reports)) + "\n"
+        chunks = (line + "\n" for line in report_lines(reports))
         ext = "txt"
-    _emit(text, args.out, f"verify_{args.suite}.{ext}")
+    _emit(chunks, args.out, f"verify_{args.suite}.{ext}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -82,12 +85,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         payload_args = ()
     if args.format == "dot":
-        text = dot_fn(*payload_args)
+        chunks = (line + "\n" for line in dot_fn(*payload_args))
         ext = "dot"
     else:
-        text = dumps(payload_fn(*payload_args))
+        chunks = json_chunks(payload_fn(*payload_args))
         ext = "json"
-    _emit(text, args.out, f"{stem}.{ext}")
+    _emit(chunks, args.out, f"{stem}.{ext}")
     return 0
 
 

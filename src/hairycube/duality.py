@@ -316,10 +316,17 @@ class EntailmentReport(NamedTuple):
 
 
 def _lambda1_closed_subsets(n: int):
+    """The nonempty λ1-closed subsets of Sⁿ, all masks tested at once."""
     power = StructuredSpace.power(n, (), (LAMBDA1,))
-    triples = power.op_triples(LAMBDA1)
+    # bit m of `ok` stands for mask m, and of col[i] (runs of 2**i zero bits,
+    # then 2**i one bits) for bit i of m
+    full = (1 << (1 << power.size)) - 1
+    col = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(power.size)]
+    ok = full
+    for i, j, k in power.op_triples(LAMBDA1):
+        ok &= ~(col[i] & col[j]) | col[k]
     for mask in range(1, 1 << power.size):
-        if all(mask >> k & 1 for i, j, k in triples if mask >> i & mask >> j & 1):
+        if ok >> mask & 1:
             yield tuple(p for i, p in enumerate(power.carrier) if mask >> i & 1)
 
 

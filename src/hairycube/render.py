@@ -23,10 +23,10 @@ from .relations import (
 SCHEMA = 1
 
 
-def dumps(payload: dict) -> str:
-    """Byte-equal to `json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"`,
-    escaping each distinct string once (json's indenting encoder escapes it at
-    every occurrence); a key that is not a string raises TypeError."""
+def json_chunks(payload: dict) -> list[str]:
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"` in pieces of at
+    most one escaped string each, escaping each distinct string once (json's
+    indenting encoder escapes it at every occurrence); non-string keys raise TypeError."""
     out, escape = [], lru_cache(maxsize=None)(json.encoder.encode_basestring)
 
     def emit(value, indent: str) -> None:
@@ -51,22 +51,27 @@ def dumps(payload: dict) -> str:
 
     emit(payload, "\n")
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps(payload: dict) -> str:
+    """The whole document as one string; the command line writes the chunks."""
+    return "".join(json_chunks(payload))
 
 
 def _quote(label: str) -> str:
     return '"' + label.replace('"', '\\"') + '"'
 
 
-def _poset_dot(name: str, poset: FinitePoset, labels: list[str], filled=()) -> str:
-    """The Hasse diagram, bottom up; the indices in `filled` are shaded."""
+def _poset_dot(name: str, poset: FinitePoset, labels: list[str], filled=()) -> list[str]:
+    """The Hasse diagram's lines, bottom up; the indices in `filled` are shaded."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     for i, label in enumerate(labels):
         shade = ', style="filled", fillcolor="lightgrey"' if i in filled else ""
         lines.append(f"  n{i} [label={_quote(label)}{shade}];")
     lines.extend(f"  n{i} -> n{j};" for i, j in poset.cover_index_pairs())
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def homset_payload(homset: HomSet, variant: str, method: str) -> dict:
@@ -82,14 +87,14 @@ def homset_payload(homset: HomSet, variant: str, method: str) -> dict:
     }
 
 
-def homset_text(homset: HomSet, variant: str, method: str) -> str:
+def homset_text(homset: HomSet, variant: str, method: str) -> list[str]:
     payload = homset_payload(homset, variant, method)
     lines = [
         f"hom-set: arity {payload['arity']}, variant {variant}, "
         f"{payload['count']} maps ({method})"
     ]
     lines.extend(payload["maps"])
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _poset_payload(poset: FinitePoset, labels: list[str]) -> dict:
@@ -121,7 +126,7 @@ def subalgebras_payload() -> dict:
     }
 
 
-def subalgebras_dot() -> str:
+def subalgebras_dot() -> list[str]:
     lat = enumerate_subalgebras()
     return _poset_dot("subalgebras", lat, [canonical_name(r) for r in lat.elements])
 
@@ -137,7 +142,7 @@ def congruences_payload() -> dict:
     }
 
 
-def congruences_dot() -> str:
+def congruences_dot() -> list[str]:
     lat = enumerate_congruences()
     return _poset_dot("congruences", lat, [canonical_name(c) for c in lat.elements])
 
@@ -156,7 +161,7 @@ def chi_payload(n: int) -> dict:
     }
 
 
-def chi_dot(n: int) -> str:
+def chi_dot(n: int) -> list[str]:
     lat = chi_lattice(n)
     labels = [str(t) for t in lat.elements]
     return _poset_dot(f"hom_lattice_{n}", lat, labels, set(lat.join_irreducible_indices()))
@@ -183,7 +188,7 @@ def hairy_cube_payload(n: int) -> dict:
     }
 
 
-def hairy_cube_dot(n: int) -> str:
+def hairy_cube_dot(n: int) -> list[str]:
     cube = hairy_cube_recursive(n)
     base = {i for i, e in enumerate(cube.elements) if e.is_base}
     return _poset_dot(f"hairy_cube_{n}", cube, [e.label for e in cube.elements], base)

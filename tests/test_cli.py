@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface and the scripts."""
 
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,6 +13,8 @@ import pytest
 
 from hairycube.cli import _homs, main
 from hairycube.duality import VARIANTS, homs_for_variant
+
+from test_outputs_pinned import PINNED
 
 UNARY = ["000", "0hh", "0h1", "hhh", "hh1", "11h", "111"]
 
@@ -109,12 +113,48 @@ def test_unknown_suite_is_a_usage_error():
 
 def test_cap_exceeded_exit_code(capsys):
     assert main(["homs", "--n", "4"]) == 2
-    assert "cap exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap exceeded" in captured.err
 
 
 def test_render_cube_dimension_cap_exit_code(capsys):
     assert main(["render", "hairy-cube", "--n", "8"]) == 2
-    assert "cap exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap exceeded" in captured.err
+
+
+def test_refused_render_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["render", "hairy-cube", "--n", "8", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap exceeded" in captured.err
+    assert not out.exists()
+
+
+class WriteSizes(io.StringIO):
+    """A stdout that records the size in bytes of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text.encode("utf-8")))
+        return super().write(text)
+
+
+def test_largest_render_is_written_in_small_chunks(monkeypatch):
+    # 3.1 MB of JSON: written whole, it would be held once as a str and once
+    # more encoded before the first byte left
+    stdout = WriteSizes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["render", "hairy-cube", "--n", "7", "--format", "json"]) == 0
+    assert max(stdout.sizes) <= 64 * 1024
+    digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    assert digest == PINNED["render hairy-cube --n 7 --format json"]
 
 
 def test_negative_arity_exit_code(capsys):

@@ -337,6 +337,22 @@ def test_entailment_exhaustive():
         entailment_lambda1(3)
 
 
+def _closed_subsets_mask_by_mask(n):
+    """The λ1-closed subsets by their definition, one mask at a time."""
+    power = StructuredSpace.power(n, (), (LAMBDA1,))
+    triples = power.op_triples(LAMBDA1)
+    for mask in range(1, 1 << power.size):
+        if all(mask >> k & 1 for i, j, k in triples if mask >> i & mask >> j & 1):
+            yield tuple(p for i, p in enumerate(power.carrier) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("n, count", [(1, 6), (2, 101)])
+def test_lambda1_closed_subsets_match_the_mask_by_mask_test(n, count):
+    subsets = list(duality._lambda1_closed_subsets(n))
+    assert subsets == list(_closed_subsets_mask_by_mask(n))
+    assert len(subsets) == count
+
+
 def test_entailment_names_each_violation(monkeypatch):
     """With r2, which λ1 does not entail, standing in for r3, the report
     lists exactly the maps that a per-map check finds breaking it."""

@@ -1,13 +1,17 @@
-"""`render.dumps` against the json module it replaces: byte for byte."""
+"""`render.dumps` and the chunks the command line writes, against the json
+module they replace: byte for byte."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hairycube.cli import _emit, main
 from hairycube.duality import VARIANTS, homs_for_variant
-from hairycube.render import RENDERABLES, dumps, homset_payload
+from hairycube.render import RENDERABLES, dumps, homset_payload, json_chunks
 from hairycube.verify import reports_payload, run_suite
 
 
@@ -27,9 +31,16 @@ VALUES = st.recursive(
 )
 
 
+def _emitted(chunks) -> str:
+    with redirect_stdout(io.StringIO()) as stdout:
+        _emit(chunks, None, "")
+    return stdout.getvalue()
+
+
 @given(VALUES)
 def test_dumps_matches_json_on_drawn_values(value):
-    assert dumps(value) == _json(value)
+    chunks = json_chunks(value)
+    assert dumps(value) == "".join(chunks) == _emitted(chunks) == _json(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -37,7 +48,8 @@ def test_dumps_matches_json_on_drawn_values(value):
     float("nan"), float("-inf"), -0.0, 1e300, 10 ** 30, True, None,
 ])
 def test_dumps_matches_json_on_edge_cases(value):
-    assert dumps(value) == _json(value)
+    chunks = json_chunks(value)
+    assert dumps(value) == "".join(chunks) == _emitted(chunks) == _json(value)
 
 
 # the targets and sizes scripts/render_figures.py writes
@@ -51,6 +63,25 @@ def test_dumps_matches_json_on_render_payloads(target, n):
     assert needs_n == (n is not None)
     payload = payload_fn(n) if needs_n else payload_fn()
     assert dumps(payload) == _json(payload)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("target, n", FIGURES)
+def test_out_file_holds_the_stdout_bytes(target, n, fmt, tmp_path, capsys):
+    payload_fn, dot_fn, needs_n = RENDERABLES[target]
+    fn_args = (n,) if needs_n else ()
+    argv = ["render", target, "--format", fmt, *(["--n", str(n)] if needs_n else [])]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    if fmt == "json":
+        payload = payload_fn(*fn_args)
+        assert "".join(json_chunks(payload)) == dumps(payload) == stdout
+    else:
+        assert "".join(line + "\n" for line in dot_fn(*fn_args)) == stdout
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    (written,) = tmp_path.iterdir()
+    assert capsys.readouterr().out == f"{written}\n"
+    assert written.read_bytes() == stdout.encode("utf-8")
 
 
 def test_figures_cover_every_renderable():
