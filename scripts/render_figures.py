@@ -3,7 +3,7 @@
 
 Covers the subalgebra lattice, the congruence lattice, the hom-set
 lattices for powers 1 and 2, and the cube-with-hairs posets for
-dimensions 1 to 3.
+dimensions 1 to 3.  Exit status is 2 when a file cannot be written.
 """
 
 import argparse
@@ -33,9 +33,13 @@ def main() -> int:
             jobs.extend((f"{stem}_n{n}", payload_fn, dot_fn, (n,)) for n in (1, 2, 3))
 
     # the writer `hairycube render --out` uses: chunks, never a joined file
-    for stem, payload_fn, dot_fn, fn_args in jobs:
-        _emit(json_chunks(payload_fn(*fn_args)), args.out, f"{stem}.json")
-        _emit((line + "\n" for line in dot_fn(*fn_args)), args.out, f"{stem}.dot")
+    try:
+        for stem, payload_fn, dot_fn, fn_args in jobs:
+            _emit(json_chunks(payload_fn(*fn_args)), args.out, f"{stem}.json")
+            _emit((line + "\n" for line in dot_fn(*fn_args)), args.out, f"{stem}.dot")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

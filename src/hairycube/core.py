@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache, total_ordering
 from itertools import product
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 class Element(IntEnum):
@@ -214,10 +214,6 @@ class TritTable(Frozen):
         if not 1 <= i <= arity:
             raise ValueError(f"projection index {i} out of range for arity {arity}")
         return cls(arity, tuple(args[i - 1] for args in all_tuples(arity)))
-
-    @classmethod
-    def from_function(cls, arity: int, fn: Callable[..., Element]) -> "TritTable":
-        return cls(arity, tuple(fn(*args) for args in all_tuples(arity)))
 
     @classmethod
     def from_string(cls, text: str) -> "TritTable":

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .core import ELEMENTS, Element, H, TritTable
 from .homsets import CapExceededError, assemble, clone_closure, slice_first
-from .posets import FinitePoset, _bits
+from .posets import FinitePoset, _bits, _transpose
 
 
 def join_irreducibles(lattice: FinitePoset) -> FinitePoset:
@@ -155,9 +155,6 @@ class HairyCubeReport(NamedTuple):
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.clauses)
 
-    def failed_clauses(self) -> tuple[str, ...]:
-        return tuple(name for name, ok, _ in self.clauses if not ok)
-
 
 def _cube_poset(n: int) -> FinitePoset:
     # Vertex i has the bits of i as its coordinates, first coordinate highest.
@@ -258,25 +255,20 @@ def ji_meet_formula_check(n: int) -> bool:
     return True
 
 
-def open_set_order(opens, elements=None) -> FinitePoset:
-    """Specialisation order of a finite T0 topology: x <= y iff every open
-    set containing y contains x."""
-    opens = [frozenset(o) for o in opens]
-    points = set().union(*opens) if opens else set()
-    if elements is None:
-        elements = sorted(points)
-    elements = tuple(elements)
-    if set(elements) != points:
-        raise ValueError("element list does not match the union of the opens")
-    # x <= y iff the opens that miss x are among those that miss y; one pass
-    # over each open's members sets the opens that hold x
-    pos = {x: i for i, x in enumerate(elements)}
-    inside = [0] * len(elements)
-    for k, o in enumerate(opens):
-        for x in o:
-            inside[pos[x]] |= 1 << k
+def open_set_order(opens, elements) -> FinitePoset:
+    """Specialisation order of a finite T0 topology on `elements`, its opens
+    given as bit masks over their indices: x <= y iff every open set
+    containing y contains x."""
+    elements, opens = tuple(elements), tuple(opens)
+    n, union = len(elements), 0
+    for o in opens:
+        union |= o
+    if union != (1 << n) - 1:
+        raise ValueError(f"the opens do not cover exactly the indices of the {n} elements")
+    # x <= y iff the opens that miss x are among those that miss y; column x
+    # of the opens holds the opens that hold x
     full = (1 << len(opens)) - 1
-    masks = [full & ~m for m in inside]
+    masks = [full & ~m for m in (_transpose(opens, n) if n else [])]
     if len(set(masks)) != len(masks):
         pairs = combinations(zip(elements, masks), 2)
         x, y = next((x, y) for (x, a), (y, b) in pairs if a == b)
@@ -286,11 +278,11 @@ def open_set_order(opens, elements=None) -> FinitePoset:
 
 class PartiallyStoneSpaceFinite(NamedTuple):
     """Finite candidate dual space: a poset, a marked base subset and the
-    downset topology."""
+    downset topology, its opens as bit masks over the poset's indices."""
 
     poset: FinitePoset
     base: frozenset
-    opens: tuple[frozenset, ...]
+    opens: tuple[int, ...]
 
     @classmethod
     def from_poset(cls, poset: FinitePoset, base) -> "PartiallyStoneSpaceFinite":
@@ -298,14 +290,7 @@ class PartiallyStoneSpaceFinite(NamedTuple):
         unknown = base - set(poset.elements)
         if unknown:
             raise ValueError(f"base points {unknown} are not in the poset")
-        return cls(poset, base, poset.downsets())
-
-    @classmethod
-    def of_dimension(cls, n: int) -> "PartiallyStoneSpaceFinite":
-        cube = hairy_cube_recursive(n)
-        return cls.from_poset(
-            cube, frozenset(e for e in cube.elements if e.is_base)
-        )
+        return cls(poset, base, poset.downset_masks())
 
 
 class PssResult(NamedTuple):
@@ -319,9 +304,10 @@ def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult
 
     The four shape clauses are checked in order against the candidate's
     base, and the first that fails is reported.  On success the base's cube
-    isomorphism is extended along the hair covers to the recursive
-    construction and verified to be a full order isomorphism (downset
-    topologies then correspond automatically, and this is checked as well).
+    isomorphism is extended along the hair covers to an index permutation
+    onto the recursive construction, which must carry each down row onto the
+    image's down row (a full order isomorphism) and the opens onto its
+    downsets (which then follows, and is checked as well).
     """
     poset = candidate.poset
     base_idx = [i for i, e in enumerate(poset.elements) if e in candidate.base]
@@ -335,21 +321,25 @@ def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult
             return PssResult(False, name, None)
 
     target = hairy_cube_recursive(n)
-    by_key = {(e.epsilon, e.meet_h): e for e in target.elements}
-    mapping = {}
+    by_key = {(e.epsilon, e.meet_h): k for k, e in enumerate(target.elements)}
+    perm = [0] * poset.n
     for i, j in hair_over.items():
         v = iso[poset.elements[i]]
-        mapping[poset.elements[i]] = by_key[v, True]
-        mapping[poset.elements[j]] = by_key[v, False]
+        perm[i], perm[j] = by_key[v, True], by_key[v, False]
 
-    for x in poset.elements:
-        for y in poset.elements:
-            if poset.leq(x, y) != target.leq(mapping[x], mapping[y]):
-                return PssResult(False, "order-isomorphism", None)
+    # bit i of a mask moves to bit perm[i], by one table lookup per byte
+    chunks = [perm[lo:lo + 8] for lo in range(0, poset.n, 8)]
+    tables = [[sum(1 << c[i] for i in _bits(b)) for b in range(1 << len(c))] for c in chunks]
 
-    image_opens = {frozenset(mapping[x] for x in o) for o in candidate.opens}
-    if image_opens != set(target.downsets()):
+    def image(mask: int) -> int:
+        return sum(t[mask >> 8 * c & 255] for c, t in enumerate(tables))
+
+    if any(image(poset.down_mask(i)) != target.down_mask(perm[i]) for i in range(poset.n)):
+        return PssResult(False, "order-isomorphism", None)
+    opens, downsets = candidate.opens, set(target.downset_masks())
+    if any(m >> poset.n for m in opens) or set(map(image, opens)) != downsets:
         return PssResult(False, "open-sets-correspond", None)
+    mapping = {x: target.elements[perm[i]] for i, x in enumerate(poset.elements)}
     return PssResult(True, None, mapping)
 
 

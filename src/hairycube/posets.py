@@ -245,12 +245,6 @@ class FinitePoset:
         masks.sort(key=lambda m: (bin(m).count("1"), m))
         return tuple(masks)
 
-    def downsets(self) -> tuple[frozenset, ...]:
-        return tuple(
-            frozenset(self._elements[i] for i in _bits(m))
-            for m in self.downset_masks()
-        )
-
     def isomorphism_to(self, other: "FinitePoset") -> dict | None:
         """Backtracking order-isomorphism search, or None."""
         if self.n != other.n:

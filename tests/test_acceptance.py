@@ -189,7 +189,7 @@ def test_c05_clone_equals_bruteforce():
             assert set(brute.maps) == set(clone.maps)
             counts[n] = len(brute.maps)
         assert counts == {1: 7, 2: 35}
-        assert len(hairy_cube_recursive(2).downsets()) == 35
+        assert len(hairy_cube_recursive(2).downset_masks()) == 35
 
 
 def _figure_labels_and_covers(n: int):
@@ -223,7 +223,7 @@ def test_c06_hairy_cube_shape():
                 "unique-hair-cover",
                 "hair-covers-own-base",
             ]
-            assert report.passed, report.failed_clauses()
+            assert report.passed, report.clauses
             extracted = extracted_hairy_cube(n)
             assert {t.entries for t in extracted.elements} == {
                 e.table.entries for e in ji.elements

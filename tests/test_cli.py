@@ -211,6 +211,21 @@ def test_out_directory_writes_files(tmp_path, capsys):
     assert (tmp_path / "chi_n1.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "chi", "--n", "1"],
+    ["verify", "barops"],
+])
+def test_out_naming_a_file_is_an_error(argv, tmp_path, capsys):
+    # exit 2, not the 1 that verify gives when a check fails
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_cli_output_is_byte_identical_across_runs():
     args = ("render", "hairy-cube", "--n", "2", "--format", "dot")
     first = run_cli(*args)
@@ -278,6 +293,18 @@ def test_run_all_checks_script():
     assert "FAIL" not in proc.stdout
 
 
+def test_run_all_checks_script_json_is_byte_equal_to_verify_all():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_checks.py"), "--json"],
+        capture_output=True,
+        env=script_env(),
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == PINNED["verify all --format json"]
+
+
 def test_run_all_checks_script_refuses_a_power_cap_below_one(capsys):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_all_checks.py"), "--n", "0"],
@@ -321,3 +348,19 @@ def test_render_figures_script(tmp_path, capsys):
     assert sorted(p.name for p in by_cli.iterdir()) == written
     for name in written:
         assert (figures / name).read_bytes() == (by_cli / name).read_bytes(), name
+
+
+def test_render_figures_script_refuses_an_out_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "render_figures.py"), "--out", str(taken)],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+        cwd=ROOT,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert taken.read_text(encoding="utf-8") == "kept\n"

@@ -26,7 +26,7 @@ from hairycube.cube import (
     verify_hairy_cube,
 )
 from hairycube.homsets import CapExceededError
-from hairycube.posets import FinitePoset
+from hairycube.posets import FinitePoset, _bits
 
 UNARY_JI = ("0hh", "0h1", "hhh", "11h")
 UNARY_JI_COVERS = {("0hh", "0h1"), ("0hh", "hhh"), ("hhh", "11h")}
@@ -91,12 +91,17 @@ def test_glue_refuses_the_zero_table():
         _glue(_mask_order([zero, *hairy_cube_recursive(1).elements]))
 
 
+def _failed_clauses(report):
+    """The names of the clauses a hairy-cube report fails, in order."""
+    return tuple(name for name, ok, _ in report.clauses if not ok)
+
+
 def test_shape_clauses_pass():
     for n in (1, 2, 3):
         cube = hairy_cube_recursive(n)
         assert cube.n == 2 ** (n + 1)
         report = verify_hairy_cube(cube, n)
-        assert report.passed, report.failed_clauses()
+        assert report.passed, _failed_clauses(report)
         assert [name for name, _, _ in report.clauses] == [
             "base-is-cube",
             "hairs-incomparable",
@@ -110,12 +115,12 @@ def test_shape_clauses_fail_on_wrong_poset():
     missing_base = cube1.induced([1, 2, 3])  # 0h1, hhh, 11h
     report = verify_hairy_cube(missing_base, 1)
     assert not report.passed
-    assert "base-is-cube" in report.failed_clauses()
+    assert "base-is-cube" in _failed_clauses(report)
     # a bare cube with no hairs: base clause holds, cover clause cannot
     only_base = cube1.induced([0, 2])  # 0hh, hhh
     report = verify_hairy_cube(only_base, 1)
     assert not report.passed
-    assert report.failed_clauses() == ("unique-hair-cover",)
+    assert _failed_clauses(report) == ("unique-hair-cover",)
 
 
 def _reordered_unary_cube(strict):
@@ -136,7 +141,7 @@ SWAPPED_UNARY_ORDER = {("0hh", "hhh"), ("0hh", "11h"), ("hhh", "0h1"), ("0hh", "
 def test_shape_clauses_fail_on_comparable_hairs():
     poset = _reordered_unary_cube(TRUE_UNARY_ORDER | {("0h1", "11h")})
     report = verify_hairy_cube(poset, 1)
-    assert report.failed_clauses() == ("hairs-incomparable", "hair-covers-own-base")
+    assert _failed_clauses(report) == ("hairs-incomparable", "hair-covers-own-base")
 
 
 def test_shape_clauses_fail_on_swapped_hairs():
@@ -144,7 +149,7 @@ def test_shape_clauses_fail_on_swapped_hairs():
     # but no hair meets h to the base point it covers
     poset = _reordered_unary_cube(SWAPPED_UNARY_ORDER)
     report = verify_hairy_cube(poset, 1)
-    assert report.failed_clauses() == ("unique-hair-cover", "hair-covers-own-base")
+    assert _failed_clauses(report) == ("unique-hair-cover", "hair-covers-own-base")
     # pss_homeomorphism only asks for the shape, so it accepts a relabelling
     base = frozenset(e for e in poset.elements if e.is_base)
     res = pss_homeomorphism(PartiallyStoneSpaceFinite.from_poset(poset, base), 1)
@@ -152,7 +157,7 @@ def test_shape_clauses_fail_on_swapped_hairs():
 
 
 def _first_failed(report):
-    names = report.failed_clauses()
+    names = _failed_clauses(report)
     if not names:
         return None
     return "hair-covers-one-base" if names[0] == "hair-covers-own-base" else names[0]
@@ -264,56 +269,91 @@ def test_join_irreducibles_of_chi():
 def test_alexandrov_roundtrip_on_cubes():
     for n in (1, 2, 3):
         cube = hairy_cube_recursive(n)
-        opens = cube.downsets()
-        assert open_set_order(opens, elements=cube.elements) == cube
+        opens = cube.downset_masks()
+        assert open_set_order(opens, cube.elements) == cube
 
 
 @given(st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6))
 def test_alexandrov_roundtrip_random_subposets(indices):
     cube = hairy_cube_recursive(3)
     sub = cube.induced(sorted(indices))
-    opens = sub.downsets()
-    assert open_set_order(opens, elements=sub.elements) == sub
+    opens = sub.downset_masks()
+    assert open_set_order(opens, sub.elements) == sub
 
 
-@given(st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=8))
-def test_open_set_order_matches_the_specialisation_order(opens):
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.integers(0, (1 << k) - 1), max_size=8).map(lambda m: (k, m))
+))
+def test_open_set_order_matches_the_specialisation_order(drawn):
     """Against x <= y iff every open holding y holds x, on drawn families of
-    sets; a family that does not separate its points must be refused."""
-    elements = sorted(set().union(*opens))
-    holding = {frozenset(k for k, o in enumerate(opens) if x in o) for x in elements}
-    if len(holding) < len(elements):
-        with pytest.raises(ValueError, match="not T0"):
-            open_set_order(opens)
-        return
+    index masks over k points, in sorted and in reversed element order; a
+    family that does not cover or does not separate its points must be
+    refused."""
+    k, opens = drawn
+    points = "abcdef"[:k]
+    sets = [frozenset(points[i] for i in _bits(m)) for m in opens]
 
     def leq(x, y):
-        return all(x in o for o in opens if y in o)
+        return all(x in o for o in sets if y in o)
 
-    # the sorted points by default, and a given element order
-    for order in (None, elements[::-1]):
-        oracle = FinitePoset.from_leq(order or elements, leq)
-        _assert_same_order(open_set_order(opens, elements=order), oracle)
+    for order in (points, points[::-1]):
+        masks = [sum(1 << order.index(x) for x in o) for o in sets]
+        if set().union(*sets) != set(points):
+            with pytest.raises(ValueError, match="do not cover exactly"):
+                open_set_order(masks, order)
+        elif len({frozenset(o for o in sets if x in o) for x in points}) < k:
+            with pytest.raises(ValueError, match="not T0"):
+                open_set_order(masks, order)
+        else:
+            _assert_same_order(open_set_order(masks, order), FinitePoset.from_leq(order, leq))
 
 
 def test_open_set_order_rejects_non_t0():
-    with pytest.raises(ValueError):
-        open_set_order([frozenset(), frozenset({"a", "b"})])
+    with pytest.raises(ValueError, match="not T0"):
+        open_set_order([0b00, 0b11], "ab")
     # b, c and a, d are both inseparable; the first pair in element order
     # is (a, d), which a scan for the first repeated point would miss
-    opens = [frozenset(), frozenset("ad"), frozenset("bc"), frozenset("abcd")]
+    opens = [0b0000, 0b1001, 0b0110, 0b1111]
     with pytest.raises(ValueError, match="not T0: a and d are inseparable"):
-        open_set_order(opens)
-    with pytest.raises(ValueError):
-        open_set_order([frozenset({"a"})], elements=["a", "b"])
+        open_set_order(opens, "abcd")
+    # index 1 is in no open; index 2 is past the elements; so are all of -1's
+    for opens in ([0b01], [0b011, 0b111], [-1]):
+        with pytest.raises(ValueError, match="cover exactly the indices of the 2 elements"):
+            open_set_order(opens, "ab")
+
+
+def _cube_space(n):
+    """The dimension-n hairy cube as a candidate space, its base the tables
+    below h."""
+    cube = hairy_cube_recursive(n)
+    return PartiallyStoneSpaceFinite.from_poset(cube, (e for e in cube.elements if e.is_base))
 
 
 def test_pss_accepts_the_real_thing():
     for n in (1, 2):
-        cand = PartiallyStoneSpaceFinite.of_dimension(n)
+        cand = _cube_space(n)
         res = pss_homeomorphism(cand, n)
         assert res.ok and res.failed_clause is None
         assert len(res.mapping) == 2 ** (n + 1)
+
+
+def test_pss_refuses_opens_that_are_not_the_downsets():
+    cand = _cube_space(2)
+    assert pss_homeomorphism(cand, 2).ok
+    # one downset short, one set that is not down-closed, one index past the
+    # 8 points (which a permutation of the 8 bits alone would drop)
+    for opens in (cand.opens[:-1], cand.opens + (0b10,), cand.opens + (1 << 8,)):
+        res = pss_homeomorphism(cand._replace(opens=opens), 2)
+        assert (res.ok, res.failed_clause) == (False, "open-sets-correspond")
+
+
+def test_pss_recognises_the_dimension_four_cube():
+    """The 319,107 downsets of the 32-point cube stay index masks (about 2 s)."""
+    cand = _cube_space(4)
+    assert len(cand.opens) == 319_107
+    assert all(type(o) is int for o in cand.opens)
+    assert cand.opens == hairy_cube_recursive(4).downset_masks()
+    assert pss_homeomorphism(cand, 4).ok
 
 
 def _space(elements, pairs, base):

@@ -81,11 +81,15 @@ def test_downsets_of_chain_and_antichain():
     assert len(chain.downset_masks()) == 4  # {}, {1}, {1,2}, all
     anti = FinitePoset.from_leq([2, 3, 5], divides)
     assert len(anti.downset_masks()) == 8
-    downs = chain.downsets()
-    assert frozenset() in downs and frozenset({1, 2, 4}) in downs
-    assert all(
-        all(y in d for x in d for y in (1, 2, 4) if divides(y, x)) for d in downs
-    )
+    assert 0 in chain.downset_masks() and 0b111 in chain.downset_masks()
+    # every mask is downward closed: it holds each divisor of a point it holds
+    for p in (chain, anti):
+        assert all(
+            d >> j & 1
+            for d in p.downset_masks()
+            for i, x in enumerate(p.elements) if d >> i & 1
+            for j, y in enumerate(p.elements) if divides(y, x)
+        )
 
 
 def test_downset_cap():
