@@ -3,18 +3,21 @@
 
 Covers the subalgebra lattice, the congruence lattice, the hom-set
 lattices for powers 1 and 2, and the cube-with-hairs posets for
-dimensions 1 to 3.  Exit status is 2 when a file cannot be written.
+dimensions 1 to 3, one `hairycube render` command per file.  It stops at
+the first command that fails; exit status is 2 when a file cannot be
+written.
 """
 
 import argparse
 import sys
+from itertools import product
 from pathlib import Path
 
 # Run from a checkout without installing: the package lives in ../src.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hairycube.cli import _emit  # noqa: E402
-from hairycube.render import RENDERABLES, json_chunks  # noqa: E402
+from hairycube import cli  # noqa: E402
+from hairycube.render import RENDERABLES  # noqa: E402
 
 
 def main() -> int:
@@ -22,24 +25,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("out"))
     args = parser.parse_args()
 
-    jobs = []
-    for target, (payload_fn, dot_fn, needs_n) in sorted(RENDERABLES.items()):
-        stem = target.replace("-", "_")
-        if not needs_n:
-            jobs.append((stem, payload_fn, dot_fn, ()))
-        elif target == "chi":
-            jobs.extend((f"{stem}_n{n}", payload_fn, dot_fn, (n,)) for n in (1, 2))
-        else:
-            jobs.extend((f"{stem}_n{n}", payload_fn, dot_fn, (n,)) for n in (1, 2, 3))
-
-    # the writer `hairycube render --out` uses: chunks, never a joined file
-    try:
-        for stem, payload_fn, dot_fn, fn_args in jobs:
-            _emit(json_chunks(payload_fn(*fn_args)), args.out, f"{stem}.json")
-            _emit((line + "\n" for line in dot_fn(*fn_args)), args.out, f"{stem}.dot")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for target, (_, _, needs_n) in sorted(RENDERABLES.items()):
+        sizes = ((1, 2) if target == "chi" else (1, 2, 3)) if needs_n else (None,)
+        for n, fmt in product(sizes, ("json", "dot")):
+            argv = ["render", target, "--format", fmt, "--out", str(args.out)]
+            status = cli.main(argv + ([] if n is None else ["--n", str(n)]))
+            if status:
+                return status
     return 0
 
 

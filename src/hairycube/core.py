@@ -161,23 +161,23 @@ class Frozen:
 
 @total_ordering
 class TritTable(Frozen):
-    """Total map S^arity -> S as two bit planes over the 3^arity canonical
-    argument positions: bit i of `ge_h` is set when entry i is h or 1, bit i
-    of `ge_1` when it is 1.  `entries` and `str()` are memoised views, decoded
-    one hex nibble per entry; order is lexicographic on (arity, entries).
+    """Total map S^arity -> S, built from its 3^arity entries in canonical
+    argument order and held as two bit planes over those positions: bit i of
+    `ge_h` is set when entry i is h or 1, bit i of `ge_1` when it is 1.
+    `entries` and `str()` are memoised views, decoded one hex nibble per
+    entry; order is lexicographic on (arity, entries).
     Equality and hash read (arity, ge_h, ge_1) directly, being the hottest
     calls on tables (set and dict lookups)."""
 
     __slots__ = ("arity", "ge_h", "ge_1", "_entries", "_text")
 
-    def __init__(self, arity: int, entries: Iterable[int]) -> None:
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+    def __init__(self, entries: Iterable[int]) -> None:
         codes = bytes(entries)
+        arity = 0
+        while 3 ** arity < len(codes):
+            arity += 1
         if len(codes) != 3 ** arity:
-            raise ValueError(
-                f"arity {arity} needs {3 ** arity} entries, got {len(codes)}"
-            )
+            raise ValueError(f"{len(codes)} entries is not a power of 3")
         self._fill(arity, *planes(codes))
 
     def _fill(self, arity: int, ge_h: int, ge_1: int) -> None:
@@ -213,15 +213,11 @@ class TritTable(Frozen):
         """The i-th projection, 1-based."""
         if not 1 <= i <= arity:
             raise ValueError(f"projection index {i} out of range for arity {arity}")
-        return cls(arity, tuple(args[i - 1] for args in all_tuples(arity)))
+        return cls(args[i - 1] for args in all_tuples(arity))
 
     @classmethod
     def from_string(cls, text: str) -> "TritTable":
-        entries = tuple(Element.from_char(ch) for ch in text)
-        arity = 0
-        while 3 ** arity < len(entries):
-            arity += 1
-        return cls(arity, entries)
+        return cls(map(Element.from_char, text))
 
     def _codes(self) -> bytes:
         """One byte per entry, its code 0, 1 or 2, in canonical order: read as

@@ -51,10 +51,10 @@ def polynomial_label(epsilon: tuple[int, ...], meet_h: bool) -> str:
     return "∧".join(factors)
 
 
-def eval_polynomial(epsilon: tuple[int, ...], meet_h: bool, n: int) -> TritTable:
-    """Meet of (barred) projections selected by epsilon, optionally with h."""
-    if len(epsilon) != n:
-        raise ValueError(f"epsilon must have {n} coordinates")
+def eval_polynomial(epsilon: tuple[int, ...], meet_h: bool) -> TritTable:
+    """Meet of (barred) projections selected by epsilon, optionally with h;
+    its arity is the length of epsilon."""
+    n = len(epsilon)
     table = TritTable.constant(n, Element.ONE)
     for i, e in enumerate(epsilon):
         p = TritTable.projection(n, i + 1)
@@ -64,10 +64,9 @@ def eval_polynomial(epsilon: tuple[int, ...], meet_h: bool, n: int) -> TritTable
     return table
 
 
-def eta(n: int, table: TritTable) -> tuple[int, ...]:
+def eta(table: TritTable) -> tuple[int, ...]:
     """Cube coordinate of a base join-irreducible (order isomorphism onto 2^n)."""
-    if table.arity != n:
-        raise ValueError(f"table has arity {table.arity}, not {n}")
+    n = table.arity
     if not table.leq(TritTable.constant(n, H)):
         raise ValueError("eta is only defined below h")
     if n == 1:
@@ -78,16 +77,16 @@ def eta(n: int, table: TritTable) -> tuple[int, ...]:
         raise ValueError(f"{table} is not a base join-irreducible")
     s0, sh, s1 = (slice_first(table, a) for a in ELEMENTS)
     if s0 == sh == s1:
-        return (1,) + eta(n - 1, sh)
+        return (1,) + eta(sh)
     if s0 == TritTable.constant(n - 1, Element.ZERO) and sh == s1:
-        return (0,) + eta(n - 1, sh)
+        return (0,) + eta(sh)
     raise ValueError(f"{table} is not a base join-irreducible")
 
 
-def polynomial_form(table: TritTable, n: int) -> tuple[tuple[int, ...], bool]:
+def polynomial_form(table: TritTable) -> tuple[tuple[int, ...], bool]:
     """Descriptor (epsilon, meet_h) of a join-irreducible table."""
-    meet_h = table.leq(TritTable.constant(n, H))
-    return eta(n, table.meet_h()), meet_h
+    meet_h = table.leq(TritTable.constant(table.arity, H))
+    return eta(table.meet_h()), meet_h
 
 
 # 2^7 base vertices plus their hairs: 256 elements, and 3.1 MB as JSON.
@@ -116,7 +115,7 @@ def hairy_cube_recursive(n: int) -> FinitePoset:
     if n > 1:
         return _glue(hairy_cube_recursive(n - 1))
     tables = map(TritTable.from_string, ("0hh", "hhh", "0h1", "11h"))
-    elements = sorted(JIElement(t, *polynomial_form(t, 1)) for t in tables)
+    elements = sorted(JIElement(t, *polynomial_form(t)) for t in tables)
     return FinitePoset.from_masks(elements, [e.table.order_mask for e in elements])
 
 
@@ -268,7 +267,7 @@ def open_set_order(opens, elements) -> FinitePoset:
     # x <= y iff the opens that miss x are among those that miss y; column x
     # of the opens holds the opens that hold x
     full = (1 << len(opens)) - 1
-    masks = [full & ~m for m in (_transpose(opens, n) if n else [])]
+    masks = [full & ~m for m in _transpose(opens, n)]
     if len(set(masks)) != len(masks):
         pairs = combinations(zip(elements, masks), 2)
         x, y = next((x, y) for (x, a), (y, b) in pairs if a == b)

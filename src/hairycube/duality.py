@@ -121,7 +121,7 @@ def variant(name: str) -> StructureVariant:
 
 def verify_algebraic(op: PartialOp) -> bool:
     """A partial operation is algebraic when its graph is a subuniverse of S^3."""
-    return is_subuniverse(op.graph(), 3)
+    return is_subuniverse(op.graph())
 
 
 def compose_lambda_swap() -> bool:
@@ -174,7 +174,7 @@ def total_homs(n: int) -> tuple[TritTable, ...]:
     """Algebra homomorphisms S^n -> S; expected to be the projections."""
     if n > 6:
         raise CapExceededError(f"total hom enumeration capped at arity 6, got {n}")
-    return tuple(TritTable(n, f) for f in algebra_homs(all_tuples(n)))
+    return tuple(map(TritTable, algebra_homs(all_tuples(n))))
 
 
 class ClassifiedHom(NamedTuple):
@@ -275,11 +275,10 @@ class FtcResult(NamedTuple):
     restrictions: tuple[tuple[Element, ...], ...]
 
 
-def ftc_check(points, y, n: int) -> FtcResult:
-    """Does some pair of n-ary morphisms agree on the given points while
-    differing at y?  The restriction list is the certificate either way."""
-    if n > 2:
-        raise CapExceededError(f"morphism enumeration capped at arity 2, got {n}")
+def ftc_check(points, y) -> FtcResult:
+    """Does some pair of n-ary morphisms, n the width of y, agree on the given
+    points while differing at y?  The restriction list is the certificate
+    either way."""
 
     def normalize(p):
         if isinstance(p, Element):
@@ -288,8 +287,9 @@ def ftc_check(points, y, n: int) -> FtcResult:
 
     pts = sorted(set(normalize(p) for p in points))
     y = normalize(y)
-    if any(len(p) != n for p in pts) or len(y) != n:
-        raise ValueError(f"points must lie in S^{n}")
+    n = len(y)
+    if any(len(p) != n for p in pts):
+        raise ValueError(f"points must lie in S^{n}, like y")
     if y in pts:
         raise ValueError("the separation point must lie outside the subset")
 
@@ -388,7 +388,7 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     if not carrier:
         raise ValueError("carrier must be nonempty")
     k = len(carrier[0])
-    if not is_subuniverse(carrier, k):
+    if not is_subuniverse(carrier):
         raise ValueError("carrier is not a subuniverse")
 
     var = variant(variant_name)

@@ -44,7 +44,8 @@ DEFAULT_CLONE_ARITY_CAP = 3
 
 
 class StructuredSpace(Frozen):
-    """Finite subset of S^arity carrying relations and partial operations.
+    """Finite subset of S^arity, arity the width of its points, carrying
+    relations and partial operations.
 
     Relations and partial operations are interpreted componentwise.  When a
     partial operation is listed, the carrier must be closed under it
@@ -58,13 +59,14 @@ class StructuredSpace(Frozen):
 
     __slots__ = ("arity", "carrier", "relations", "partial_ops", "_index", "_memo")
 
-    def __init__(self, arity: int, carrier: tuple[tuple[Element, ...], ...],
+    def __init__(self, carrier: tuple[tuple[Element, ...], ...],
                  relations: tuple[BinaryRelation, ...] = (),
                  partial_ops: tuple[PartialOp, ...] = ()) -> None:
         if not carrier:
             raise ValueError("carrier must be nonempty")
         if list(carrier) != sorted(set(carrier)):
             raise ValueError("carrier must be canonically sorted and duplicate-free")
+        arity = len(carrier[0])
         for point in carrier:
             if len(point) != arity:
                 raise ValueError(f"point {point} does not have width {arity}")
@@ -129,7 +131,7 @@ class StructuredSpace(Frozen):
         relations: tuple[BinaryRelation, ...] = (R1, R2, R3),
         partial_ops: tuple[PartialOp, ...] = (),
     ) -> "StructuredSpace":
-        return cls(n, all_tuples(n), tuple(relations), tuple(partial_ops))
+        return cls(all_tuples(n), tuple(relations), tuple(partial_ops))
 
     @classmethod
     def from_points(
@@ -138,10 +140,8 @@ class StructuredSpace(Frozen):
         relations: tuple[BinaryRelation, ...] = (),
         partial_ops: tuple[PartialOp, ...] = (),
     ) -> "StructuredSpace":
-        points = sorted(set(tuple(p) for p in points))
-        if not points:
-            raise ValueError("carrier must be nonempty")
-        return cls(len(points[0]), tuple(points), tuple(relations), tuple(partial_ops))
+        points = tuple(sorted(set(map(tuple, points))))
+        return cls(points, tuple(relations), tuple(partial_ops))
 
 
 MapLike = Union[TritTable, bytes, Sequence[Element]]

@@ -46,6 +46,8 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
     Done on binary strings, so the N * width steps run in C.
     """
+    if not (width and rows):  # zip sees no rows; format writes width 0 as one digit
+        return [0] * width
     strings = [format(r, f"0{width}b") for r in reversed(rows)]
     return [int("".join(col), 2) for col in zip(*strings)][::-1]
 

@@ -130,38 +130,26 @@ def relation(i: int) -> BinaryRelation:
         raise ValueError(f"relation index must be 1, 2 or 3, got {i}") from None
 
 
-def inverse(r: BinaryRelation) -> BinaryRelation:
-    return r.inverse()
-
-
-def intersect(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
-    return r.intersect(s)
+# Module names only because perfbench/spans.py wraps them; they go with ROADMAP item 1b.
+inverse = BinaryRelation.inverse
+intersect = BinaryRelation.intersect
 
 
 SubsetLike = Union[BinaryRelation, Iterable[tuple[Element, ...]]]
 
 
-def _as_tuple_set(subset: SubsetLike, k: int) -> frozenset[tuple[Element, ...]]:
-    if isinstance(subset, BinaryRelation):
-        if k != 2:
-            raise ValueError("a BinaryRelation is a subset of S^2; k must be 2")
-        return frozenset(subset.pairs())
-    tuples = frozenset(tuple(t) for t in subset)
-    for t in tuples:
-        if len(t) != k:
-            raise ValueError(f"tuple {t} does not have width {k}")
-    return tuples
-
-
-def is_subuniverse(subset: SubsetLike, k: int) -> bool:
-    """Whether the subset of S^k carries a subalgebra.
+def is_subuniverse(subset: SubsetLike) -> bool:
+    """Whether the subset of S^k carries a subalgebra, k the width of its
+    tuples (2 for a BinaryRelation) and at most 3.
 
     Requires the constant tuples and closure under componentwise meet,
     join and bar.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    tuples = _as_tuple_set(subset, k)
+    tuples = frozenset(map(tuple, subset))
+    widths = set(map(len, tuples))
+    if len(widths) > 1 or not widths <= {1, 2, 3}:
+        raise ValueError(f"k must be 1, 2 or 3 and shared by the tuples, got {sorted(widths)}")
+    k = max(widths, default=0)  # an empty subset lacks the constants at any k
     for c in ELEMENTS:
         if (c,) * k not in tuples:
             return False
@@ -181,7 +169,7 @@ def enumerate_subalgebras() -> FinitePoset:
     found = []
     for mask in range(1 << 9):
         rel = BinaryRelation(mask)
-        if DIAGONAL.issubset(rel) and is_subuniverse(rel, 2):
+        if DIAGONAL.issubset(rel) and is_subuniverse(rel):
             found.append(rel)
     found.sort(key=lambda r: (len(r), r.mask))
     return FinitePoset.from_masks(found, [r.mask for r in found])
@@ -221,7 +209,7 @@ def enumerate_congruences() -> FinitePoset:
         BinaryRelation(mask)
         for mask in range(1 << 9)
         if BinaryRelation(mask).is_equivalence()
-        and is_subuniverse(BinaryRelation(mask), 2)
+        and is_subuniverse(BinaryRelation(mask))
     ]
     found.sort(key=lambda r: (len(r), r.mask))
     return FinitePoset.from_masks(found, [r.mask for r in found])
@@ -240,7 +228,7 @@ def subuniverses_of_carrier() -> tuple[frozenset[Element], ...]:
     found = []
     for mask in range(1, 1 << 3):
         subset = frozenset(e for i, e in enumerate(ELEMENTS) if mask >> i & 1)
-        if is_subuniverse([(e,) for e in subset], 1):
+        if is_subuniverse([(e,) for e in subset]):
             found.append(subset)
     return tuple(found)
 

@@ -325,7 +325,7 @@ def suite_hairy_cube(n_max: int | None = None) -> SuiteReport:
                   f"hom-set lattice at arity {n}",
                   same, {"size": cube.n})
         )
-        coords = {e.table: eta(n, e.table) for e in cube.elements if e.is_base}
+        coords = {e.table: eta(e.table) for e in cube.elements if e.is_base}
         order_iso = all(
             t1.leq(t2) == all(a <= b for a, b in zip(c1, c2))
             for t1, c1 in coords.items()
@@ -395,7 +395,7 @@ def suite_polynomials(n_max: int | None = None) -> SuiteReport:
     checks = []
     for n in range(1, n_max + 1):
         descriptor_rt = all(
-            polynomial_form(eval_polynomial(eps, flag, n), n) == (eps, flag)
+            polynomial_form(eval_polynomial(eps, flag)) == (eps, flag)
             for eps in product((0, 1), repeat=n)
             for flag in (True, False)
         )
@@ -405,7 +405,7 @@ def suite_polynomials(n_max: int | None = None) -> SuiteReport:
                   descriptor_rt)
         )
         table_rt = all(
-            eval_polynomial(*polynomial_form(e.table, n), n) == e.table
+            eval_polynomial(*polynomial_form(e.table)) == e.table
             for e in hairy_cube_recursive(n).elements
         )
         checks.append(
@@ -414,10 +414,10 @@ def suite_polynomials(n_max: int | None = None) -> SuiteReport:
                   table_rt)
         )
     explicit = (
-        polynomial_form(TritTable.from_string("0h1"), 1) == ((0,), False)
-        and polynomial_form(TritTable.from_string("11h"), 1) == ((1,), False)
-        and polynomial_form(TritTable.from_string("0hh"), 1) == ((0,), True)
-        and polynomial_form(TritTable.from_string("hhh"), 1) == ((1,), True)
+        polynomial_form(TritTable.from_string("0h1")) == ((0,), False)
+        and polynomial_form(TritTable.from_string("11h")) == ((1,), False)
+        and polynomial_form(TritTable.from_string("0hh")) == ((0,), True)
+        and polynomial_form(TritTable.from_string("hhh")) == ((1,), True)
     )
     checks.append(
         Check("unary-forms",
@@ -462,7 +462,7 @@ _FTC_RESTRICTIONS = {
 
 def suite_ftc(n_max: int | None = None) -> SuiteReport:
     checks = []
-    res = ftc_check((ZERO, ONE), H, 1)
+    res = ftc_check((ZERO, ONE), H)
     checks.append(
         Check("no-separation-at-h",
               "no pair of unary morphisms agrees on {0,1} and differs at h; the "
@@ -471,7 +471,7 @@ def suite_ftc(n_max: int | None = None) -> SuiteReport:
               and len(res.restrictions) == 7,
               {"restrictions": ["".join(str(v) for v in r) for r in res.restrictions]})
     )
-    pos = ftc_check((ZERO,), ONE, 1)
+    pos = ftc_check((ZERO,), ONE)
     checks.append(
         Check("separation-at-one",
               "some pair of unary morphisms agrees at 0 and differs at 1",

@@ -245,9 +245,9 @@ def test_c07_polynomial_round_trip():
         for n in (1, 2, 3):
             seen = set()
             for e in hairy_cube_recursive(n).elements:
-                eps, mh = polynomial_form(e.table, n)
+                eps, mh = polynomial_form(e.table)
                 assert (eps, mh) == (e.epsilon, e.meet_h)
-                assert eval_polynomial(eps, mh, n) == e.table
+                assert eval_polynomial(eps, mh) == e.table
                 seen.add((eps, mh))
             assert len(seen) == 2 ** (n + 1)
 
@@ -285,7 +285,7 @@ def test_c10_optimality_witnesses():
 
 def test_c11_separation_failure():
     with Criterion(11, "h is not separated over {0,1}: exactly 7 restrictions"):
-        res = ftc_check((ZERO, ONE), H, 1)
+        res = ftc_check((ZERO, ONE), H)
         assert not res.separated
         assert set(res.restrictions) == {
             (Z, Z), (Z, H), (Z, O), (H, H), (H, O), (O, H), (O, O),

@@ -138,12 +138,12 @@ def test_table_construction_and_call():
     with pytest.raises(ValueError):
         TritTable.projection(2, 3)
     with pytest.raises(ValueError):
-        TritTable(1, (ZERO, H))  # wrong entry count
+        TritTable((ZERO, H))  # wrong entry count
 
 
 def table_from_function(arity, fn):
     """The table of `fn` on every argument tuple, in canonical order."""
-    return TritTable(arity, tuple(fn(*args) for args in all_tuples(arity)))
+    return TritTable(fn(*args) for args in all_tuples(arity))
 
 
 def test_table_from_function_matches_pointwise():
@@ -160,6 +160,23 @@ def test_table_string_roundtrip():
         TritTable.from_string("0h")  # not a power of 3
 
 
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(elements, min_size=3 ** n, max_size=3 ** n))))
+def test_table_arity_is_read_off_the_entry_count(case):
+    n, x = case
+    t = TritTable(x)
+    assert (t.arity, t.entries) == (n, tuple(x))
+    assert TritTable.from_string(str(t)) == t
+
+
+@pytest.mark.parametrize("count", [0, 2, 4, 10])
+def test_table_refuses_an_entry_count_off_the_powers_of_three(count):
+    with pytest.raises(ValueError, match="not a power of 3"):
+        TritTable((ZERO,) * count)
+    with pytest.raises(ValueError, match="not a power of 3"):
+        TritTable.from_string("0" * count)
+
+
 table_entries = st.integers(min_value=1, max_value=2).flatmap(
     lambda n: st.tuples(*([st.sampled_from(ELEMENTS)] * (3 ** n)))
 )
@@ -168,7 +185,7 @@ table_entries = st.integers(min_value=1, max_value=2).flatmap(
 @given(table_entries)
 def test_table_pointwise_ops(entries):
     n = 1 if len(entries) == 3 else 2
-    t = TritTable(n, entries)
+    t = TritTable(entries)
     other = TritTable.constant(n, H)
     assert t.meet_h().entries == t.meet(other).entries
     for args in all_tuples(n):
@@ -207,9 +224,9 @@ def table_pairs(draw):
 @given(table_pairs())
 def test_table_planes_match_tuple_oracle(case):
     n, x, y = case
-    a, b = TritTable(n, x), TritTable(n, y)
+    a, b = TritTable(x), TritTable(y)
     # built from entries, from planes, and from the bytes of entry codes
-    for t in (a, TritTable.from_planes(n, a.ge_h, a.ge_1), TritTable(n, bytes(x))):
+    for t in (a, TritTable.from_planes(n, a.ge_h, a.ge_1), TritTable(bytes(x))):
         assert t.entries == x
         assert str(t) == "".join(str(e) for e in x) == "".join(str(e) for e in t.entries)
         assert TritTable.from_string(str(t)) == t
@@ -230,7 +247,7 @@ def test_table_planes_match_tuple_oracle(case):
 
 
 tables = st.integers(min_value=0, max_value=2).flatmap(
-    lambda n: entry_tuples(n).map(lambda x: TritTable(n, x)))
+    lambda n: entry_tuples(n).map(TritTable))
 
 
 @given(tables, tables)
@@ -278,14 +295,14 @@ def test_wide_table_decode_matches_calls(n):
     max_size=8,
 ))
 def test_table_sort_is_lexicographic(cases):
-    tables = [TritTable(n, entries) for n, entries in cases]
+    tables = [TritTable(entries) for _, entries in cases]
     assert [(t.arity, t.entries) for t in sorted(tables)] == sorted(cases)
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(entry_tuples))
 def test_slices_match_entry_slicing(x):
     n = {3: 1, 9: 2, 27: 3}[len(x)]
-    t = TritTable(n, x)
+    t = TritTable(x)
     block = 3 ** (n - 1)
     slices = [slice_first(t, a) for a in ELEMENTS]
     assert [s.entries for s in slices] == [x[k * block : (k + 1) * block] for k in range(3)]

@@ -78,7 +78,7 @@ def test_glued_order_matches_the_plane_masks(n):
 # Any nonzero binary tables: the slice rule does not assume the hairy shape.
 @given(st.sets(st.tuples(*[st.integers(0, 2)] * 9).filter(any), min_size=1, max_size=12))
 def test_glue_matches_the_plane_masks_off_the_cube(entries):
-    prev = _mask_order(JIElement(TritTable(2, e), (0, 0), False) for e in entries)
+    prev = _mask_order(JIElement(TritTable(e), (0, 0), False) for e in entries)
     glued = _glue(prev)
     assert glued.n == 2 * prev.n
     _assert_same_order(glued, _mask_order(glued.elements))
@@ -182,25 +182,26 @@ def test_eta_is_the_cube_coordinate():
     for n in range(1, 8):
         cube = hairy_cube_recursive(n)
         for e in cube.elements:
-            assert polynomial_form(e.table, n) == (e.epsilon, e.meet_h)
+            assert polynomial_form(e.table) == (e.epsilon, e.meet_h)
             if e.is_base:
-                assert eta(n, e.table) == e.epsilon
+                assert eta(e.table) == e.epsilon
     with pytest.raises(ValueError):
-        eta(1, TritTable.from_string("0h1"))  # not below h
+        eta(TritTable.from_string("0h1"))  # not below h
     with pytest.raises(ValueError):
-        eta(1, TritTable.from_string("000"))  # below h but not a base JI
-    with pytest.raises(ValueError):
-        eta(2, TritTable.from_string("0hh"))
+        eta(TritTable.from_string("000"))  # below h but not a base JI
+    # the dimension is the table's own arity
+    assert eta(TritTable.from_string("0hh")) == (0,)
+    assert eta(TritTable.from_string("0hh0hh0hh")) == (1, 0)
 
 
 def test_polynomial_roundtrip_all_dimensions():
     for n in range(1, 8):
         for eps in product((0, 1), repeat=n):
             for flag in (False, True):
-                table = eval_polynomial(eps, flag, n)
-                assert polynomial_form(table, n) == (eps, flag)
+                table = eval_polynomial(eps, flag)
+                assert (table.arity, polynomial_form(table)) == (n, (eps, flag))
         for e in hairy_cube_recursive(n).elements:
-            assert eval_polynomial(e.epsilon, e.meet_h, n) == e.table
+            assert eval_polynomial(e.epsilon, e.meet_h) == e.table
 
 
 def test_polynomial_labels():

@@ -304,27 +304,37 @@ FTC_RESTRICTIONS = {
 
 
 def test_ftc_fails_at_h_over_01():
-    res = ftc_check((ZERO, ONE), H, 1)
+    res = ftc_check((ZERO, ONE), H)
     assert not res.separated and res.pair is None
     assert len(res.restrictions) == 7
     assert set(res.restrictions) == FTC_RESTRICTIONS
 
 
 def test_ftc_succeeds_elsewhere():
-    res = ftc_check((ZERO,), ONE, 1)
+    res = ftc_check((ZERO,), ONE)
     assert res.separated
     assert tuple(str(t) for t in res.pair) == ("000", "0hh")
-    res = ftc_check([(ZERO, ZERO)], (ONE, H), 2)
+    res = ftc_check([(ZERO, ZERO)], (ONE, H))
     assert res.separated
 
 
 def test_ftc_input_validation():
     with pytest.raises(ValueError):
-        ftc_check((ZERO, ONE), ZERO, 1)  # y inside the subset
+        ftc_check((ZERO, ONE), ZERO)  # y inside the subset
     with pytest.raises(ValueError):
-        ftc_check((ZERO,), (ONE, ONE), 1)
-    with pytest.raises(CapExceededError):
-        ftc_check([(ZERO,) * 3], (ONE,) * 3, 3)
+        ftc_check((ZERO,), (ONE, ONE))  # points narrower than y
+    # n is y's width; arity 4 is past the clone closure's cap
+    with pytest.raises(CapExceededError, match="clone closure"):
+        ftc_check([(ZERO,) * 4], (ONE,) * 4)
+
+
+def test_ftc_answers_at_arity_three():
+    res = ftc_check([(ZERO,) * 3], (ONE,) * 3)
+    assert res.separated and len(res.restrictions) == 775
+    assert tuple(str(t) for t in res.pair) == ("0" * 27, "0000000000000hh0hh0000hh0hh")
+    # on the diagonal the ternary morphisms restrict to the unary ones
+    res = ftc_check([(ZERO,) * 3, (ONE,) * 3], (H,) * 3)
+    assert not res.separated and set(res.restrictions) == FTC_RESTRICTIONS
 
 
 def test_entailment_exhaustive():

@@ -167,6 +167,15 @@ def test_structured_space_validation():
     assert ok.is_full_power()
 
 
+def test_structured_space_reads_its_arity_off_the_points():
+    assert StructuredSpace(((ZERO, H, ONE),)).arity == 3
+    assert StructuredSpace.power(0).arity == 0 and StructuredSpace.power(2).arity == 2
+    with pytest.raises(ValueError, match="does not have width 1"):
+        StructuredSpace(((ZERO,), (ZERO, ONE)))
+    with pytest.raises(ValueError, match="nonempty"):
+        StructuredSpace(())
+
+
 def test_proper_carrier_maps_are_not_tables():
     space = StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE)])
     homs = enumerate_homs_bruteforce(space)
@@ -190,7 +199,7 @@ entries2 = st.tuples(*([st.sampled_from(ELEMENTS)] * 9))
 
 @given(entries2)
 def test_slice_assemble_roundtrip_random(entries):
-    t = TritTable(2, entries)
+    t = TritTable(entries)
     rebuilt = assemble(*(slice_first(t, a) for a in ELEMENTS))
     assert rebuilt.entries == t.entries
 
@@ -452,7 +461,7 @@ def _check_against_naive(batch, space, relations, operations, table=None):
 @given(full_power_maps, drawn_relations, drawn_ops)
 def test_preserves_checks_match_naive_filter_on_full_powers(case, drawn_rel, drawn_op):
     n, batch = case
-    table = TritTable(n, batch[0])
+    table = TritTable(batch[0])
     _check_against_naive(
         batch, POWERS[n], RELATIONS + (drawn_rel,), OPERATIONS + (drawn_op,), table
     )

@@ -3,6 +3,7 @@ reads no environment, so its output depends on its arguments alone; importing
 the command line stays cheap; the value classes compare by value and are
 frozen."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -12,8 +13,10 @@ import pytest
 
 import hairycube
 from hairycube.core import ELEMENTS, H, ONE, ZERO, TritTable
+from hairycube.cube import eta, eval_polynomial, polynomial_form
+from hairycube.duality import ftc_check
 from hairycube.homsets import HomSet, StructuredSpace
-from hairycube.relations import DIAGONAL, R1, BinaryRelation, PartialOp
+from hairycube.relations import DIAGONAL, R1, BinaryRelation, PartialOp, is_subuniverse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "hairycube").glob("*.py"))
@@ -22,6 +25,17 @@ SOURCES = sorted((SRC / "hairycube").glob("*.py"))
 def test_all_names_are_attributes():
     missing = [name for name in hairycube.__all__ if not hasattr(hairycube, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [TritTable, StructuredSpace, eta, polynomial_form, eval_polynomial, ftc_check, is_subuniverse],
+    ids=lambda fn: fn.__name__,
+)
+def test_sizes_are_read_off_the_inputs(fn):
+    """No size parameter: the arity or width is that of the entries, points,
+    table, epsilon or tuples given."""
+    assert {"n", "k", "arity"}.isdisjoint(inspect.signature(fn).parameters)
 
 
 def test_the_library_reads_no_environment():
@@ -53,11 +67,11 @@ def _value_cases():
     a field name."""
     space = StructuredSpace.power(1)
     return [
-        (TritTable.from_string("0h1"), TritTable(1, (0, 1, 2)), TritTable.from_string("0hh"), "ge_h"),
+        (TritTable.from_string("0h1"), TritTable((0, 1, 2)), TritTable.from_string("0hh"), "ge_h"),
         (BinaryRelation(5), BinaryRelation.from_pairs([(ZERO, ZERO), (ZERO, ONE)]),
          BinaryRelation(6), "mask"),
         (_diagonal_op("f"), _diagonal_op("f"), _diagonal_op("g"), "values"),
-        (StructuredSpace(1, ((ZERO,), (H,), (ONE,)), (R1,)), StructuredSpace.power(1, (R1,)),
+        (StructuredSpace(((ZERO,), (H,), (ONE,)), (R1,)), StructuredSpace.power(1, (R1,)),
          space, "relations"),
         (HomSet(space, (b"\0\1\2",)), HomSet(StructuredSpace.power(1), (b"\0\1\2",)),
          HomSet(StructuredSpace.power(1, (R1,)), (b"\0\1\2",)), "maps"),
@@ -108,4 +122,4 @@ def test_value_classes_keep_their_validation():
     with pytest.raises(ValueError, match="one slot per pair"):
         PartialOp("f", DIAGONAL, (ZERO, H, ONE))
     with pytest.raises(ValueError, match="canonically sorted"):
-        StructuredSpace(1, ((ONE,), (ZERO,)))
+        StructuredSpace(((ONE,), (ZERO,)))

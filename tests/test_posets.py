@@ -225,6 +225,21 @@ def transposed(rows):
 
 
 @st.composite
+def bit_rows(draw):
+    """A width in 0..8 and up to 12 rows of that width, some of them all zero."""
+    width = draw(st.integers(0, 8))
+    row = st.integers(0, (1 << width) - 1)
+    return width, draw(st.lists(st.one_of(st.just(0), row), max_size=12))
+
+
+@given(bit_rows())
+def test_transpose_matches_a_naive_transpose(case):
+    width, rows = case
+    naive = [sum(1 << i for i, r in enumerate(rows) if r >> c & 1) for c in range(width)]
+    assert posets._transpose(rows, width) == naive
+
+
+@st.composite
 def narrow_or_wide_masks(draw):
     # Up to 40 masks of at most 6 bits take the column path of `from_masks`
     # once there are at least as many masks as bits, and the pairwise path

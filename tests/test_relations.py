@@ -69,19 +69,22 @@ def test_subuniverse_requires_bar_closure():
     # meet/join closure alone would also accept r3 u {(h,1)}: the bar of
     # (h,1) is (1,h), which escapes the set.
     fattened = R3.union(BinaryRelation.from_pairs([(H, ONE)]))
-    assert is_subuniverse(R3, 2)
-    assert not is_subuniverse(fattened, 2)
+    assert is_subuniverse(R3)
+    assert not is_subuniverse(fattened)
 
 
 def test_subuniverse_input_validation():
-    with pytest.raises(ValueError):
-        is_subuniverse(R1, 1)
-    with pytest.raises(ValueError):
-        is_subuniverse([(ZERO, ZERO)], 4)
-    with pytest.raises(ValueError):
-        is_subuniverse([(ZERO,), (ZERO, ONE)], 1)
-    assert is_subuniverse([(e,) for e in ELEMENTS], 1)
-    assert not is_subuniverse([(ZERO,), (ONE,)], 1)  # h missing
+    # k is the tuples' width: a BinaryRelation is a subset of S^2
+    assert is_subuniverse(R1) and is_subuniverse(R1.pairs())
+    with pytest.raises(ValueError, match="k must be 1, 2 or 3"):
+        is_subuniverse([(ZERO,) * 4])
+    with pytest.raises(ValueError, match="k must be 1, 2 or 3"):
+        is_subuniverse([(c,) * 4 for c in ELEMENTS])
+    with pytest.raises(ValueError, match="shared"):
+        is_subuniverse([(ZERO,), (ZERO, ONE)])
+    assert is_subuniverse([(e,) for e in ELEMENTS])
+    assert not is_subuniverse([(ZERO,), (ONE,)])  # h missing
+    assert not is_subuniverse([])  # no constants
 
 
 def test_thirteen_subalgebras():
@@ -153,7 +156,7 @@ def test_family_closed_under_inverse_and_intersection():
 def test_membership_matches_direct_check(mask):
     rel = BinaryRelation(mask)
     in_lattice = rel in set(enumerate_subalgebras().elements)
-    assert in_lattice == (DIAGONAL.issubset(rel) and is_subuniverse(rel, 2))
+    assert in_lattice == (DIAGONAL.issubset(rel) and is_subuniverse(rel))
 
 
 def test_congruence_lattice():
