@@ -2,19 +2,19 @@
 
 The four structure variants carry the generating relations and, for the
 strong ones, the algebraic partial operations lambda1/lambda2.  The
-functions here mechanise the finite claims about them: algebraicity,
-witness maps separating the relations, failure of term-for-term
-composition (FTC), relation entailment by lambda1, evaluation maps being
-isomorphisms, and persistence of the hom-set geometry across variants.
+functions here mechanise the finite claims about them: witness maps
+showing each piece of a variant is needed (one table, `_WITNESSES`),
+failure of term-for-term composition (FTC), relation entailment by
+lambda1, evaluation maps being isomorphisms, and persistence of the
+hom-set geometry across variants.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import add
 from typing import NamedTuple
 
-from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes
+from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes, tuple_index
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import (
     DEFAULT_CARRIER_CAP,
@@ -24,7 +24,6 @@ from .homsets import (
     break_flags,
     clone_closure,
     enumerate_homs_bruteforce,
-    preserves_relation,
 )
 from .posets import FinitePoset
 from .relations import (
@@ -37,7 +36,6 @@ from .relations import (
     enumerate_subalgebras,
     canonical_name,
     is_subuniverse,
-    relation,
 )
 
 
@@ -119,18 +117,10 @@ def variant(name: str) -> StructureVariant:
         ) from None
 
 
-def verify_algebraic(op: PartialOp) -> bool:
-    """A partial operation is algebraic when its graph is a subuniverse of S^3."""
-    return is_subuniverse(op.graph())
-
-
 def compose_lambda_swap() -> bool:
-    """lambda1 with swapped arguments is exactly lambda2."""
-    for a, b in LAMBDA2.domain.pairs():
-        if not LAMBDA1.defined(b, a) or LAMBDA1(b, a) != LAMBDA2(a, b):
-            return False
-    return all(not LAMBDA1.defined(b, a) for a, b in FULL.pairs()
-               if not LAMBDA2.defined(a, b))
+    """lambda1 with swapped arguments is exactly lambda2, undefined pairs too."""
+    return all(LAMBDA1.values[3 * b + a] == LAMBDA2.values[3 * a + b]
+               for a in ELEMENTS for b in ELEMENTS)
 
 
 def homs_for_variant(n: int, variant_name: str, carrier_cap: int = DEFAULT_CARRIER_CAP) -> HomSet:
@@ -226,47 +216,36 @@ class Witness(NamedTuple):
     ok: bool
 
 
+# The optimality claims, one finite witness each: a map on a few points of
+# some S^n that keeps the rest of the variant and breaks the dropped piece.
+# (variant, dropped piece) -> (description, points, values at the sorted points)
+_WITNESSES = {
+    ("relational", R3): ("unary map 1h1", all_tuples(1), b"\2\1\2"),
+    ("relational", R2): ("unary map 00h", all_tuples(1), b"\0\0\1"),
+    ("relational", R1): ("α on {(h,0),(0,1)} with α(h,0)=1, α(0,1)=0",
+                         ((ZERO, ONE), (H, ZERO)), b"\0\2"),
+    ("optimal-strong", R2): ("unary map h00", all_tuples(1), b"\1\0\0"),
+}
+
+
+def _witness(variant_name: str, dropped) -> Witness:
+    """The `_WITNESSES` row checked: its map keeps every piece of the variant
+    but the dropped one (flags 0), and breaks that one (flags 1)."""
+    description, points, values = _WITNESSES[variant_name, dropped]
+    var = variant(variant_name)
+    names = {r: canonical_name(r) for r in var.relations}
+    names.update((op, op.name) for op in var.partial_ops)
+    violated = names.pop(dropped)
+    space = StructuredSpace.from_points(points)
+    flags = [break_flags([values], space, [r for r in var.relations if (r == dropped) is side],
+                         [op for op in var.partial_ops if (op == dropped) is side])
+             for side in (False, True)]  # the kept pieces, then the dropped one
+    return Witness(description, tuple(names.values()), violated, flags == [b"\0", b"\1"])
+
+
 def optimality_witnesses() -> tuple[Witness, ...]:
     """Dropping any one of r1, r2, r3 admits a new compatible map."""
-    results = []
-
-    def unary_case(table_text: str, kept: tuple[int, int], dropped: int):
-        table = TritTable.from_string(table_text)
-        space = StructuredSpace.power(1)
-        keeps = all(preserves_relation(table, relation(i), space) for i in kept)
-        breaks = not preserves_relation(table, relation(dropped), space)
-        results.append(
-            Witness(
-                f"unary map {table_text}",
-                tuple(f"r{i}" for i in kept),
-                f"r{dropped}",
-                keeps and breaks,
-            )
-        )
-
-    unary_case("1h1", (1, 2), 3)
-    unary_case("00h", (1, 3), 2)
-
-    points = (
-        (ZERO, ONE),
-        (H, ZERO),
-    )
-    space = StructuredSpace.from_points(points)
-    alpha = {(H, ZERO): ONE, (ZERO, ONE): ZERO}
-    values = tuple(alpha[p] for p in space.carrier)
-    keeps = preserves_relation(values, R2, space) and preserves_relation(
-        values, R3, space
-    )
-    breaks = not preserves_relation(values, R1, space)
-    results.append(
-        Witness(
-            "α on {(h,0),(0,1)} with α(h,0)=1, α(0,1)=0",
-            ("r2", "r3"),
-            "r1",
-            keeps and breaks,
-        )
-    )
-    return tuple(results)
+    return tuple(_witness("relational", rel) for rel in (R3, R2, R1))
 
 
 class FtcResult(NamedTuple):
@@ -278,7 +257,9 @@ class FtcResult(NamedTuple):
 def ftc_check(points, y) -> FtcResult:
     """Does some pair of n-ary morphisms, n the width of y, agree on the given
     points while differing at y?  The restriction list is the certificate
-    either way."""
+    either way.  The pair is the first in clone order: the first member of
+    the first class of equal restrictions not constant at y, and the first
+    member of that class differing from it there."""
 
     def normalize(p):
         if isinstance(p, Element):
@@ -293,11 +274,17 @@ def ftc_check(points, y) -> FtcResult:
     if y in pts:
         raise ValueError("the separation point must lie outside the subset")
 
-    morphisms = clone_closure(n).tables()
-    restrictions = tuple(tuple(t(*p) for p in pts) for t in morphisms)
-    for i, j in combinations(range(len(morphisms)), 2):
-        if restrictions[i] == restrictions[j] and morphisms[i](*y) != morphisms[j](*y):
-            return FtcResult(True, (morphisms[i], morphisms[j]), restrictions)
+    at = [tuple_index(p) for p in pts]
+    at_y = tuple_index(y)
+    maps = clone_closure(n).maps
+    restrictions = tuple(tuple(ELEMENTS[m[i]] for i in at) for m in maps)
+    classes: dict[tuple[Element, ...], list[bytes]] = {}
+    for r, m in zip(restrictions, maps):
+        classes.setdefault(r, []).append(m)
+    for first, *rest in classes.values():
+        for m in rest:
+            if m[at_y] != first[at_y]:
+                return FtcResult(True, (TritTable(first), TritTable(m)), restrictions)
     return FtcResult(False, None, restrictions)
 
 
@@ -358,12 +345,7 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
 def entail2_witness() -> bool:
     """(h,0,0) preserves lambda1 yet sends (0,h) in r2 to (h,0) outside it,
     so lambda1 does not entail r2."""
-    table = TritTable.from_string("h00")
-    space = StructuredSpace.power(1, (), (LAMBDA1,))
-    homs = enumerate_homs_bruteforce(space)
-    if table not in homs:
-        return False
-    return not preserves_relation(table, R2, StructuredSpace.power(1))
+    return _witness("optimal-strong", R2).ok
 
 
 class EvaluationReport(NamedTuple):

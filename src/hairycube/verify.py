@@ -39,6 +39,7 @@ from .duality import (
     LAMBDA1,
     LAMBDA2,
     VARIANTS,
+    _WITNESSES,
     classify_partial_homs,
     compose_lambda_swap,
     entail2_witness,
@@ -49,15 +50,14 @@ from .duality import (
     optimality_witnesses,
     persistence_check,
     total_homs,
-    verify_algebraic,
 )
 from .homsets import (
     StructuredSpace,
     assemble,
+    break_flags,
     clone_closure,
     enumerate_homs_bruteforce,
     lift,
-    preserves_relation,
 )
 from .posets import FinitePoset
 from .relations import (
@@ -69,6 +69,7 @@ from .relations import (
     enumerate_congruences,
     enumerate_subalgebras,
     irreducibility_index,
+    is_subuniverse,
     meet_irreducible_congruences,
     subuniverses_of_carrier,
 )
@@ -482,15 +483,8 @@ def suite_ftc(n_max: int | None = None) -> SuiteReport:
 
 
 def suite_classify(n_max: int | None = None) -> SuiteReport:
-    checks = []
-    checks.append(
-        Check("lambda1-algebraic", "the graph of λ1 is a subuniverse of S^3",
-              verify_algebraic(LAMBDA1))
-    )
-    checks.append(
-        Check("lambda2-algebraic", "the graph of λ2 is a subuniverse of S^3",
-              verify_algebraic(LAMBDA2))
-    )
+    checks = [Check(f"lambda{i}-algebraic", f"the graph of {op.name} is a subuniverse of S^3",
+                    is_subuniverse(op.graph())) for i, op in ((1, LAMBDA1), (2, LAMBDA2))]
     checks.append(
         Check("lambda-swap", "λ1 with swapped arguments is λ2", compose_lambda_swap())
     )
@@ -588,9 +582,8 @@ def suite_persistence(n_max: int | None = None) -> SuiteReport:
                   f"all four structure variants have the same morphisms S^{n} -> S",
                   agree, {"sizes": {k: len(v) for k, v in sorted(sets.items())}})
         )
-    h00 = TritTable.from_string("h00")
-    space = StructuredSpace.power(1, (R2,))
-    excluded = not preserves_relation(h00, R2, space)
+    _, points, h00 = _WITNESSES["optimal-strong", R2]
+    excluded = break_flags([h00], StructuredSpace.from_points(points), (R2,)) == b"\1"
     checks.append(
         Check("r2-excludes-h00", "(h,0,0) is ruled out by r2 alone", excluded)
     )

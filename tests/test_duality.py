@@ -1,15 +1,17 @@
 """Partial operations, witnesses, entailment, evaluation, persistence."""
 
 import time
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hairycube import duality
 from hairycube.core import (
     ELEMENTS,
+    Element,
     H,
     ONE,
     TritTable,
@@ -21,11 +23,13 @@ from hairycube.core import (
     tuple_meet,
 )
 from hairycube.duality import (
+    FtcResult,
     LAMBDA1,
     LAMBDA2,
     PI1,
     PI2,
     VARIANTS,
+    Witness,
     algebra_homs,
     classify_partial_homs,
     compose_lambda_swap,
@@ -38,7 +42,6 @@ from hairycube.duality import (
     persistence_check,
     total_homs,
     variant,
-    verify_algebraic,
 )
 from hairycube.homsets import (
     CapExceededError,
@@ -57,7 +60,10 @@ from hairycube.relations import (
     PartialOp,
     canonical_name,
     enumerate_subalgebras,
+    is_subuniverse,
 )
+
+from test_homsets import _naive_preserves_partial_op, _naive_preserves_relation
 
 Z, O = ZERO, ONE
 
@@ -80,13 +86,13 @@ def test_lambda_graphs_frozen():
 
 
 def test_lambdas_are_algebraic():
-    assert verify_algebraic(LAMBDA1)
-    assert verify_algebraic(LAMBDA2)
-    assert verify_algebraic(PI1) and verify_algebraic(PI2)
+    assert is_subuniverse(LAMBDA1.graph())
+    assert is_subuniverse(LAMBDA2.graph())
+    assert is_subuniverse(PI1.graph()) and is_subuniverse(PI2.graph())
     crooked = PartialOp.from_graph(
         "f", DIAGONAL, [(e, e, ONE) for e in ELEMENTS]
     )
-    assert not verify_algebraic(crooked)
+    assert not is_subuniverse(crooked.graph())
 
 
 def test_lambda_swap():
@@ -298,6 +304,65 @@ def test_optimality_witnesses():
     }
 
 
+def test_optimality_witnesses_are_the_three_relational_rows_in_order():
+    assert optimality_witnesses() == (
+        Witness("unary map 1h1", ("r1", "r2"), "r3", True),
+        Witness("unary map 00h", ("r1", "r3"), "r2", True),
+        Witness("α on {(h,0),(0,1)} with α(h,0)=1, α(0,1)=0", ("r2", "r3"), "r1", True),
+    )
+    assert duality._witness("optimal-strong", R2) == Witness("unary map h00", ("λ1",), "r2", True)
+
+
+def test_every_witness_row_is_confirmed_by_the_naive_oracles():
+    """Each row's map keeps every piece of its variant but the dropped one,
+    and breaks that one, checked related pair by related pair and triple by
+    triple rather than through break_flags."""
+    assert set(duality._WITNESSES) == {
+        ("relational", R1), ("relational", R2), ("relational", R3), ("optimal-strong", R2),
+    }
+    for (name, dropped), (_, points, values) in duality._WITNESSES.items():
+        var = VARIANTS[name]
+        space = StructuredSpace.from_points(points)
+        assert len(values) == space.size
+
+        def keeps(piece):
+            if isinstance(piece, PartialOp):
+                return _naive_preserves_partial_op(values, piece, space)
+            return _naive_preserves_relation(values, piece, space)
+
+        pieces = var.relations + var.partial_ops
+        assert dropped in pieces
+        assert all(keeps(p) for p in pieces if p != dropped)
+        assert not keeps(dropped)
+        assert duality._witness(name, dropped).ok
+
+
+def test_h00_is_a_lambda1_map_found_by_the_search():
+    _, points, h00 = duality._WITNESSES["optimal-strong", R2]
+    assert points == all_tuples(1) and h00 == TritTable.from_string("h00")._codes()
+    assert h00 in enumerate_homs_bruteforce(StructuredSpace.power(1, (), (LAMBDA1,))).maps
+
+
+def test_a_witness_row_that_breaks_nothing_or_too_much_is_refused(monkeypatch):
+    from hairycube.verify import suite_persistence
+
+    identity = ("the identity", all_tuples(1), b"\0\1\2")
+    for key in list(duality._WITNESSES):
+        monkeypatch.setitem(duality._WITNESSES, key, identity)
+    assert [w.ok for w in optimality_witnesses()] == [False] * 3
+    assert not entail2_witness()
+    checks = {c.name: c.passed for c in suite_persistence(1).checks}
+    assert checks["r2-excludes-h00"] is False
+    # 00h breaks r2, which the r3 row keeps
+    monkeypatch.setitem(duality._WITNESSES, ("relational", R3),
+                        ("unary map 00h", all_tuples(1), b"\0\0\1"))
+    assert not duality._witness("relational", R3).ok
+    # a row naming a piece its variant does not have
+    monkeypatch.setitem(duality._WITNESSES, ("optimal-strong", R3), identity)
+    with pytest.raises(KeyError):
+        duality._witness("optimal-strong", R3)
+
+
 FTC_RESTRICTIONS = {
     (Z, Z), (Z, H), (Z, O), (H, H), (H, O), (O, H), (O, O),
 }
@@ -335,6 +400,50 @@ def test_ftc_answers_at_arity_three():
     # on the diagonal the ternary morphisms restrict to the unary ones
     res = ftc_check([(ZERO,) * 3, (ONE,) * 3], (H,) * 3)
     assert not res.separated and set(res.restrictions) == FTC_RESTRICTIONS
+
+
+def _ftc_by_pairs(points, y):
+    """The FTC check by its definition: every pair of clone tables in
+    `combinations` order, each evaluated at the points and at y."""
+    pts = sorted(set(points))
+    morphisms = clone_closure(len(y)).tables()
+    restrictions = tuple(tuple(t(*p) for p in pts) for t in morphisms)
+    for i, j in combinations(range(len(morphisms)), 2):
+        if restrictions[i] == restrictions[j] and morphisms[i](*y) != morphisms[j](*y):
+            return FtcResult(True, (morphisms[i], morphisms[j]), restrictions)
+    return FtcResult(False, None, restrictions)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ftc_matches_the_pairwise_check_on_every_subset(n):
+    power = all_tuples(n)
+    separated = 0
+    for mask in range(1, 1 << len(power)):
+        subset = [p for i, p in enumerate(power) if mask >> i & 1]
+        for y in power:
+            if y not in subset:
+                res = ftc_check(subset, y)
+                assert res == _ftc_by_pairs(subset, y)
+                separated += res.separated
+    assert separated > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.sampled_from(all_tuples(3)), min_size=1, max_size=26),
+       st.sampled_from(all_tuples(3)))
+@example({(Z, Z, Z), (O, O, O)}, (H, H, H))  # not separated
+@example({(Z, Z, Z)}, (O, O, O))
+def test_ftc_matches_the_pairwise_check_at_arity_three(subset, y):
+    assume(y not in subset)
+    assert ftc_check(subset, y) == _ftc_by_pairs(subset, y)
+
+
+def test_ftc_restrictions_at_arity_three_are_pinned():
+    res = ftc_check([(ZERO,) * 3], (ONE,) * 3)
+    assert tuple(str(t) for t in res.pair) == ("0" * 27, "0000000000000hh0hh0000hh0hh")
+    assert Counter(res.restrictions) == {(Z,): 519, (H,): 128, (O,): 128}
+    assert res.restrictions == tuple((t(Z, Z, Z),) for t in clone_closure(3).tables())
+    assert all(isinstance(v, Element) for r in res.restrictions for v in r)
 
 
 def test_entailment_exhaustive():
