@@ -8,6 +8,7 @@ All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -142,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left (`| head`): exit quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush passes
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

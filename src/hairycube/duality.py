@@ -11,11 +11,13 @@ hom-set geometry across variants.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from operator import add
 from typing import NamedTuple
 
 from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes, tuple_index
 from .cube import hairy_cube_recursive, join_irreducibles
+from .homsets import _ABSENT, _CODES, _PRESENT, _broken, _columns, _search
 from .homsets import (
     DEFAULT_CARRIER_CAP,
     CapExceededError,
@@ -290,7 +292,8 @@ def ftc_check(points, y) -> FtcResult:
 
 class EntailmentReport(NamedTuple):
     """Exhaustive check that every lambda1-preserving map on a lambda1-closed
-    substructure also preserves r1 and r3."""
+    substructure also preserves r1 and r3.  A violation is (n, subset, values,
+    relation name), or (n, domains found, closed subsets, "domains")."""
 
     max_power: int
     substructures: int
@@ -318,6 +321,8 @@ def _lambda1_closed_subsets(n: int):
 
 
 def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
+    """One search per power n over the partial maps of S̰ⁿ = (Sⁿ; λ1): all
+    but the empty map are λ1-preserving maps on nonempty λ1-closed subsets."""
     if max_power < 1:
         raise ValueError(f"entailment check needs a power of at least 1, got {max_power}")
     if max_power > 2:
@@ -328,17 +333,23 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
     maps_checked = 0
     violations = []
     for n in range(1, max_power + 1):
-        for subset in _lambda1_closed_subsets(n):
-            substructures += 1
-            space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
-            homs = enumerate_homs_bruteforce(space)
-            maps_checked += len(homs)
-            if any(break_flags(homs.maps, space, (R1, R3))):
-                # split by relation only to name the violations
-                named = [(name, break_flags(homs.maps, space, (rel,)))
-                         for name, rel in (("r1", R1), ("r3", R3))]
-                violations += [(n, subset, values, name) for m, values in enumerate(homs.maps)
-                               for name, flags in named if flags[m]]
+        power = StructuredSpace.power(n, (), (LAMBDA1,))
+        leaves = list(chain.from_iterable(_search(power, _CODES + (_ABSENT,))))
+        leaves.remove(_ABSENT * power.size)  # the empty map, on the empty subset
+        domains = [tuple(compress(power.carrier, m.translate(_PRESENT))) for m in leaves]
+        closed = {subset: r for r, subset in enumerate(_lambda1_closed_subsets(n))}
+        found = set(domains)
+        substructures += len(found)
+        maps_checked += len(leaves)
+        if found != closed.keys():
+            violations.append((n, len(found), len(closed), "domains"))
+        cols = _columns(b"".join(leaves), power.size)
+        named = [(name, _broken(cols, [(rel, *p) for p in power.related_pairs(rel)], ()))
+                 for name, rel in (("r1", R1), ("r3", R3))]
+        violations += sorted([(n, domain, m.replace(_ABSENT, b""), name)
+                              for q, (domain, m) in enumerate(zip(domains, leaves))
+                              for name, bad in named if bad >> q & 1],
+                             key=lambda v: closed.get(v[1], -1))  # in closed-subset order
     return EntailmentReport(max_power, substructures, maps_checked, tuple(violations))
 
 

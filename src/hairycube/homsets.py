@@ -150,6 +150,8 @@ MapLike = Union[TritTable, bytes, Sequence[Element]]
 # of the walk holds one batch, so this bounds its memory.
 _SEARCH_BATCH = 1024
 _CODES = (b"\0", b"\1", b"\2")
+_ABSENT = b"\3"  # a partial map's code for a point it leaves out
+_PRESENT = bytes.maketrans(b"\0\1\2\3", b"\1\1\1\0")
 _FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 # The cases of `_broken`, by relation mask and by operation value table.
 _CASES: dict = {}
@@ -167,13 +169,20 @@ def _as_assignment(f: MapLike, space: StructuredSpace) -> bytes:
 def _columns(blob: bytes, size: int) -> list[tuple[int, ...]]:
     """The columns of a batch of maps, joined in blob with size codes each:
     entry i is a tuple indexed by the value sets s (bit v for value v), whose
-    column s has bit m set when map m sends carrier index i into s."""
+    column s has bit m set when map m sends carrier index i into s.  Code 3
+    (`_ABSENT`) is in no value set; column 0 holds the maps that leave i out,
+    and column 7 those that keep it (`held`)."""
     full = (1 << len(blob) // size) - 1
+    partial = _ABSENT in blob
     cols = []
     for i in range(size):
-        ge_h, ge_1 = planes(blob[i::size])
+        codes, held = blob[i::size], full
+        if partial:
+            held = planes(codes.translate(_PRESENT))[0]
+            codes = codes.replace(_ABSENT, b"\0")
+        ge_h, ge_1 = planes(codes)
         is_h = ge_h ^ ge_1
-        cols.append((0, full ^ ge_h, is_h, full ^ ge_1, ge_1, full ^ is_h, ge_h, full))
+        cols.append((full ^ held, held ^ ge_h, is_h, held ^ ge_1, ge_1, held ^ is_h, ge_h, held))
     return cols
 
 
@@ -183,11 +192,11 @@ def _broken(cols: list[tuple[int, ...]], pairs, triples) -> int:
     columns.  The one reader of relation masks and operation values.
 
     A pair breaks the maps that send i to a and j outside row a of rel.  A
-    triple breaks the maps that send i to a, unless they send j to some b
-    in op's domain and k to op(a, b).  Each mask or value table is read once
-    into its cases (`_CASES`), written with the value sets that index a
-    column tuple: per a, the values outside row a, or the pairs (the b
-    with op(a, b) = v, v)."""
+    triple breaks the maps that send i to a, unless they leave j out or send
+    j to some b in op's domain and k to op(a, b).  Each mask or value table
+    is read once into its cases (`_CASES`), written with the value sets that
+    index a column tuple: per a, the values outside row a, or the pairs (the
+    b with op(a, b) = v, v)."""
     bad = 0
     for rel, i, j in pairs:
         cases = _CASES.get(rel.mask)
@@ -209,7 +218,7 @@ def _broken(cols: list[tuple[int, ...]], pairs, triples) -> int:
         ci, cj, ck = cols[i], cols[j], cols[k]
         for a, row in cases:
             if ci[a]:
-                kept = 0
+                kept = cj[0]
                 for b, v in row:
                     kept |= cj[b] & ck[v]
                 bad |= ci[a] & ~kept
@@ -303,23 +312,13 @@ class HomSet(Frozen):
         return FinitePoset.from_masks(tables, [t.order_mask for t in tables])
 
 
-def enumerate_homs_bruteforce(
-    space: StructuredSpace, carrier_cap: int = DEFAULT_CARRIER_CAP
-) -> HomSet:
-    """Exhaustive search for all structure-preserving maps carrier -> S.
-
-    The search walks the 3^|carrier| assignment tree depth-first, in
-    canonical order, a batch of prefixes at a time.  Each related pair and
-    operation triple is checked by `_broken` at its largest index t, where
-    every prefix of a batch is extended by 0, h and 1; the survivors go one
-    level down in batches of at most `_SEARCH_BATCH`.
-    """
-    if space.size > carrier_cap:
-        raise CapExceededError(
-            f"carrier has {space.size} points (cap {carrier_cap}); "
-            f"enumeration would require 3^{space.size} = {3 ** space.size} candidates"
-        )
-    size = space.size
+def _search(space: StructuredSpace, codes: tuple[bytes, ...]) -> Iterator[list[bytes]]:
+    """The maps carrier -> codes (partial ones, if `_ABSENT` is a code) that
+    keep space's structure, in canonical order, walked depth-first a batch
+    of prefixes at a time.  Each pair and triple is checked by `_broken` at
+    its largest index t, where every prefix of a batch is extended by each
+    code; the survivors go one level down in batches of `_SEARCH_BATCH`."""
+    size, width = space.size, len(codes)
     levels = [([], []) for _ in range(size)]
     for rel in space.relations:
         for i, j in space.related_pairs(rel):
@@ -334,17 +333,27 @@ def enumerate_homs_bruteforce(
             yield batch
             return
         pairs, triples = levels[t]
-        width = 3 * len(batch)
-        kept = iter(range(width))  # prefix q // 3 extended by value q % 3
+        count = width * len(batch)
+        kept = iter(range(count))  # prefix q // width extended by code q % width
         if pairs or triples:
-            blob = b"".join([p + v for p in batch for v in _CODES])
+            blob = b"".join([p + v for p in batch for v in codes])
             bad = _broken(_columns(blob, t + 1), pairs, triples)
-            kept = compress(kept, _flags(bad ^ (1 << width) - 1, width))
+            kept = compress(kept, _flags(bad ^ (1 << count) - 1, count))
             del blob  # a level holds only its batch; survivors are rebuilt from it
-        while chunk := [batch[q // 3] + _CODES[q % 3] for q in islice(kept, _SEARCH_BATCH)]:
+        while chunk := [batch[q // width] + codes[q % width] for q in islice(kept, _SEARCH_BATCH)]:
             yield from grow(chunk, t + 1)
 
-    return HomSet(space, tuple(chain.from_iterable(grow([b""], 0))))
+    return grow([b""], 0)
+
+
+def enumerate_homs_bruteforce(space: StructuredSpace, carrier_cap: int = DEFAULT_CARRIER_CAP) -> HomSet:
+    """Exhaustive search for all structure-preserving maps carrier -> S."""
+    if space.size > carrier_cap:
+        raise CapExceededError(
+            f"carrier has {space.size} points (cap {carrier_cap}); "
+            f"enumeration would require 3^{space.size} = {3 ** space.size} candidates"
+        )
+    return HomSet(space, tuple(chain.from_iterable(_search(space, _CODES))))
 
 
 def _close(elems: list, step) -> list:

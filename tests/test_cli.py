@@ -226,6 +226,22 @@ def test_out_naming_a_file_is_an_error(argv, tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
+def test_a_reader_that_leaves_early_is_not_an_error():
+    """`… | head -c 1`: the 3.1 MB export is far more than a pipe holds, so
+    the writer meets the closed pipe.  It says nothing and exits 141, the
+    status a shell gives a process killed by SIGPIPE."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hairycube.cli", "render", "hairy-cube", "--n", "7",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(), cwd=ROOT,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_cli_output_is_byte_identical_across_runs():
     args = ("render", "hairy-cube", "--n", "2", "--format", "dot")
     first = run_cli(*args)

@@ -2,13 +2,13 @@
 
 import time
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hairycube import duality
+from hairycube import duality, homsets
 from hairycube.core import (
     ELEMENTS,
     Element,
@@ -488,6 +488,49 @@ def test_entailment_names_each_violation(monkeypatch):
     assert len(expected) == 272
     assert {name for *_, name in expected} == {"r3"}
     assert (1, all_tuples(1), b"\1\0\0", "r3") in expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_partial_search_equals_one_search_per_closed_subset(n):
+    """The per-subset route as the oracle: on each λ1-closed X, the partial
+    maps of (Sⁿ; λ1) that keep exactly X are the λ1-preserving maps on X,
+    in their order."""
+    power = StructuredSpace.power(n, (), (LAMBDA1,))
+    by_domain = {}
+    for m in chain.from_iterable(homsets._search(power, homsets._CODES + (homsets._ABSENT,))):
+        domain = tuple(p for p, c in zip(power.carrier, m) if c != 3)
+        by_domain.setdefault(domain, []).append(m.replace(b"\3", b""))
+    assert by_domain.pop(()) == [b""]
+    closed = list(duality._lambda1_closed_subsets(n))
+    assert set(by_domain) == set(closed)
+    for subset in closed:
+        space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
+        assert tuple(by_domain[subset]) == enumerate_homs_bruteforce(space).maps
+
+
+def test_entailment_runs_one_search_per_power(monkeypatch):
+    searched = []
+    search = duality._search
+    monkeypatch.setattr(duality, "_search",
+                        lambda space, codes: searched.append(space.size) or search(space, codes))
+    for name in ("enumerate_homs_bruteforce", "break_flags"):
+        monkeypatch.setattr(duality, name, None)  # no search or check per subset
+    monkeypatch.setattr(StructuredSpace, "from_points", None)
+    assert entailment_lambda1(2).passed
+    assert searched == [3, 9]
+
+
+def test_entailment_fails_when_the_domains_are_not_the_closed_subsets(monkeypatch):
+    """The closed subsets' bit-parallel count is a second route: a missing
+    subset fails the report, and the substructures are still the domains
+    the search found."""
+    closed_subsets = duality._lambda1_closed_subsets
+    monkeypatch.setattr(duality, "_lambda1_closed_subsets",
+                        lambda n: list(closed_subsets(n))[1:])
+    report = entailment_lambda1(2)
+    assert not report.passed
+    assert report.violations == ((1, 6, 5, "domains"), (2, 101, 100, "domains"))
+    assert (report.substructures, report.maps_checked) == (107, 1326)
 
 
 @pytest.mark.parametrize("max_power", [0, -1])

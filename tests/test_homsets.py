@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import json
-from itertools import product
+from itertools import chain, product
 from operator import or_
 from unittest.mock import patch
 
@@ -563,3 +563,108 @@ def test_pairs_and_triples_match_their_definitions_in_order(points, rel, op):
         for i, j, u, v in domain
         for w in [tuple(op(a, b) for a, b in zip(u, v))]
     )
+
+
+# Partial maps: the code 3 marks a point the map leaves out.
+ABSENT = 3
+
+
+def _naive_columns(blob, size):
+    """Column s of index i, by its definition: the maps whose value at i is
+    in the value set s (bit v for value v); column 0, the empty set, holds
+    the maps that leave i out instead."""
+    maps = [blob[m:m + size] for m in range(0, len(blob), size)]
+    return [
+        tuple(sum(1 << m for m, values in enumerate(maps)
+                  if (values[i] == ABSENT if s == 0 else s >> values[i] & 1))
+              for s in range(8))
+        for i in range(size)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=40),
+    st.booleans(),
+)))
+def test_columns_match_their_definition(case):
+    """On total maps the columns are the value sets, column 0 empty and
+    column 7 full; on partial maps column 0 is the absent maps and 7 the
+    present ones."""
+    size, maps, partial = case
+    alphabet = 4 if partial else 3
+    blob = bytes(c % alphabet for c in b"".join(maps))
+    cols = homsets._columns(blob, size)
+    assert cols == _naive_columns(blob, size)
+    full = (1 << len(maps)) - 1
+    if ABSENT not in blob:
+        assert all(col[0] == 0 and col[7] == full for col in cols)
+    assert all(col[0] | col[7] == full and not col[0] & col[7] for col in cols)
+
+
+def test_absent_points_constrain_nothing_and_an_absent_result_breaks():
+    # Four maps on indices (i, j, k) = (0, 1, 2): all present, then i, j
+    # and k left out in turn.  Each present pair is outside the empty
+    # relation, and pi1(1, 0) = 1 is not k's value 0.
+    maps = [b"\2\0\0", b"\3\0\0", b"\2\3\0", b"\2\0\3"]
+    cols = homsets._columns(b"".join(maps), 3)
+    empty = BinaryRelation(0)
+    assert homsets._broken(cols, [(empty, 0, 1)], ()) == 0b1001
+    assert homsets._broken(cols, (), [(PI1, 0, 1, 2)]) == 0b1001
+    # A triple whose result is right breaks only the map that leaves it out.
+    maps = [b"\2\0\2", b"\3\0\2", b"\2\3\2", b"\2\0\3"]
+    cols = homsets._columns(b"".join(maps), 3)
+    assert homsets._broken(cols, (), [(PI1, 0, 1, 2)]) == 0b1000
+
+
+def _naive_partial_breaks(values, space, rel, op):
+    """Does a partial map break rel or op on the points it keeps?  A pair
+    or triple counts only when its i and j are kept, and then a triple
+    needs k kept too."""
+    kept = [v != ABSENT for v in values]
+    return any(
+        kept[i] and kept[j] and not rel.contains(values[i], values[j])
+        for i, j in space.related_pairs(rel)
+    ) or any(
+        kept[i] and kept[j] and not (
+            kept[k] and op.defined(values[i], values[j])
+            and op(values[i], values[j]) == values[k])
+        for i, j, k in space.op_triples(op)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, 3), min_size=3 ** n, max_size=3 ** n).map(bytes),
+        min_size=1, max_size=8))),
+    drawn_relations,
+    drawn_ops,
+)
+def test_broken_matches_the_naive_check_on_partial_maps(case, rel, op):
+    n, maps = case
+    space = POWERS[n]
+    pairs = [(rel, i, j) for i, j in space.related_pairs(rel)]
+    triples = [(op, *t) for t in space.op_triples(op)]
+    bad = homsets._broken(homsets._columns(b"".join(maps), space.size), pairs, triples)
+    assert [bool(bad >> m & 1) for m in range(len(maps))] == [
+        _naive_partial_breaks(values, space, rel, op) for values in maps
+    ]
+
+
+@pytest.mark.parametrize("n, prefixes, leaves", [(1, 44, 28), (2, 2904, 1300)])
+def test_partial_search_work_is_pinned(n, prefixes, leaves, monkeypatch):
+    """The partial search on (S^n; lambda1) keeps this many nonempty
+    prefixes, leaves and the empty map included.  Every level holds a
+    triple (t, t, t), since lambda1(a, a) = a, so each level's survivors
+    pass through `_flags`."""
+    kept = []
+    flags = homsets._flags
+    monkeypatch.setattr(homsets, "_flags",
+                        lambda bits, count: kept.append(bin(bits).count("1")) or flags(bits, count))
+    power = StructuredSpace.power(n, (), (LAMBDA1,))
+    found = list(chain.from_iterable(homsets._search(power, homsets._CODES + (homsets._ABSENT,))))
+    assert (sum(kept), len(found)) == (prefixes, leaves)
+    assert found == sorted(found)
+    assert bytes([ABSENT]) * power.size in found
