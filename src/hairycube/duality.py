@@ -305,9 +305,8 @@ class EntailmentReport(NamedTuple):
         return not self.violations
 
 
-def _lambda1_closed_subsets(n: int):
-    """The nonempty λ1-closed subsets of Sⁿ, all masks tested at once."""
-    power = StructuredSpace.power(n, (), (LAMBDA1,))
+def _lambda1_closed_subsets(power: StructuredSpace):
+    """The nonempty λ1-closed subsets of S̰ⁿ = power, all masks tested at once."""
     # bit m of `ok` stands for mask m, and of col[i] (runs of 2**i zero bits,
     # then 2**i one bits) for bit i of m
     full = (1 << (1 << power.size)) - 1
@@ -337,7 +336,7 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
         leaves = list(chain.from_iterable(_search(power, _CODES + (_ABSENT,))))
         leaves.remove(_ABSENT * power.size)  # the empty map, on the empty subset
         domains = [tuple(compress(power.carrier, m.translate(_PRESENT))) for m in leaves]
-        closed = {subset: r for r, subset in enumerate(_lambda1_closed_subsets(n))}
+        closed = {subset: r for r, subset in enumerate(_lambda1_closed_subsets(power))}
         found = set(domains)
         substructures += len(found)
         maps_checked += len(leaves)

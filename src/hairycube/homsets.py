@@ -13,11 +13,8 @@ writes.  Bytes sort like code tuples, which keeps hom-sets in canonical
 order, and the cyclic collector does not track them.  Tables and text are
 made from them only at the edges (`HomSet.tables`, output).
 
-The clone closes in three stages on one int per table (both planes): the
-generators under bar, then under meets, then under joins.  That is the
-whole clone, because bar is antitone, so the sublattice generated by a
-bar-closed set is bar-closed, and being distributive it is the joins of
-meets of that set.
+The clone closes in three stages on one int per table, which reach the
+whole clone (`_clone_entries`); `clone_closure` keeps one `HomSet` per arity.
 
 There is one constraint interpreter.  A `StructuredSpace` works out once
 which carrier indices each of its relations and operations constrains
@@ -30,13 +27,14 @@ columns, against related pairs and operation triples with a few `&` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import ELEMENTS, Element, Frozen, TritTable, all_tuples, planes
-from .posets import CapExceededError, FinitePoset, _bits
+from .core import _HEX_CODES, ELEMENTS, Element, Frozen, TritTable, all_tuples, planes
+from .posets import CapExceededError, FinitePoset, _bits, _flags
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
 DEFAULT_CARRIER_CAP = 12
@@ -152,7 +150,6 @@ _SEARCH_BATCH = 1024
 _CODES = (b"\0", b"\1", b"\2")
 _ABSENT = b"\3"  # a partial map's code for a point it leaves out
 _PRESENT = bytes.maketrans(b"\0\1\2\3", b"\1\1\1\0")
-_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 # The cases of `_broken`, by relation mask and by operation value table.
 _CASES: dict = {}
 
@@ -225,11 +222,6 @@ def _broken(cols: list[tuple[int, ...]], pairs, triples) -> int:
     return bad
 
 
-def _flags(bits: int, count: int) -> bytes:
-    """One byte per map of a batch: bit m of bits as 0 or 1."""
-    return format(bits, f"0{count}b").encode()[::-1].translate(_FLAG_BYTES)
-
-
 def break_flags(
     maps: Sequence[bytes],
     space: StructuredSpace,
@@ -280,10 +272,10 @@ class HomSet(Frozen):
     """Canonically ordered morphisms of a structured space into S, each map
     as `bytes` whose byte i is the code (0, 1, 2) of its value at point i."""
 
-    __slots__ = ("source", "maps")
+    __slots__ = ("source", "maps", "_tables")
 
     def __init__(self, source: StructuredSpace, maps: tuple[bytes, ...]) -> None:
-        self._set(source, maps)
+        self._set(source, maps, None)
 
     def _key(self) -> tuple:
         return self.source, self.maps
@@ -296,15 +288,19 @@ class HomSet(Frozen):
 
     def __contains__(self, f: MapLike) -> bool:
         try:
-            return _as_assignment(f, self.source) in self.maps
+            m = _as_assignment(f, self.source)
         except ValueError:
             return False
+        i = bisect_left(self.maps, m)
+        return i < len(self.maps) and self.maps[i] == m
 
     def tables(self) -> tuple[TritTable, ...]:
         if not self.source.is_full_power():
             raise ValueError("maps of a proper carrier are not n-ary tables")
-        arity = self.source.arity
-        return tuple(TritTable.from_planes(arity, *planes(m)) for m in self.maps)
+        if self._tables is None:
+            object.__setattr__(self, "_tables", tuple(
+                TritTable.from_planes(self.source.arity, *planes(m)) for m in self.maps))
+        return self._tables
 
     def lattice(self) -> FinitePoset:
         """The tables under the pointwise order."""
@@ -336,7 +332,7 @@ def _search(space: StructuredSpace, codes: tuple[bytes, ...]) -> Iterator[list[b
         count = width * len(batch)
         kept = iter(range(count))  # prefix q // width extended by code q % width
         if pairs or triples:
-            blob = b"".join([p + v for p in batch for v in codes])
+            blob = b"".join([p + p.join(codes) for p in batch])  # p + c for each code c
             bad = _broken(_columns(blob, t + 1), pairs, triples)
             kept = compress(kept, _flags(bad ^ (1 << count) - 1, count))
             del blob  # a level holds only its batch; survivors are rebuilt from it
@@ -368,22 +364,21 @@ def _close(elems: list, step) -> list:
     return elems
 
 
-@lru_cache(maxsize=None)
 def _clone_entries(n: int) -> tuple[bytes, ...]:
     """The clone's tables, closed as one int per table (ge_h above ge_1, the
     `order_mask` layout, so meet and join are `&` and `|` and order is mask
-    inclusion) and read out as entry codes once, sorted.
+    inclusion) and read out as entry codes in one pass, sorted.
 
     The closure runs in three stages: the generators under bar, that set
-    under meets with its own members, and the result under joins with the
-    stage-2 members that are not the join of the stage-2 members strictly
-    below them (16 of 73 at n = 3).  This is the whole clone: bar is
-    antitone on the chain, so bar(x ^ y) = bar x v bar y and
+    under meets with its own members, and then all joins of the stage-2
+    members that are not the join of the stage-2 members strictly below
+    them (16 of 73 at n = 3), one set pass per member.  This is the whole
+    clone: bar is antitone on the chain, so bar(x ^ y) = bar x v bar y and
     bar(x v y) = bar x ^ bar y, hence the sublattice generated by a
     bar-closed set is bar-closed; and that sublattice is distributive, so
     it is the joins of meets of the set.  Every meet is the join of the
-    kept meets at or below it (the constant 0 is the empty join), so
-    joining with the kept meets alone reaches every join of meets.
+    kept meets at or below it (the constant 0 is the empty join), so the
+    joins of the kept meets alone reach every join of meets.
     """
     width = 3 ** n
     full = (1 << width) - 1
@@ -393,21 +388,26 @@ def _clone_entries(n: int) -> tuple[bytes, ...]:
     barred = _close(list(dict.fromkeys(g.order_mask for g in gens)),
                     lambda a: (full << width | full & ~a,))
     meets = _close(list(barred), lambda a: (a & b for b in barred))
-    irreducible = []
-    for a in meets:
-        below = 0
-        for b in meets:
-            if not b & ~a and b != a:
-                below |= b
-        if below != a:
-            irreducible.append(a)
-    elems = _close(list(meets), lambda a: (a | b for b in irreducible))
-    return tuple(sorted(TritTable.from_planes(n, t >> width, t & full)._codes() for t in elems))
+    meets.sort(key=int.bit_count)  # what lies strictly below a meet comes first
+    irreducible = [a for k, a in enumerate(meets)
+                   if reduce(or_, [b for b in meets[:k] if b | a == a], 0) != a]
+    elems = {0}  # the constant 0; low members first keeps the early passes small
+    for b in irreducible:
+        elems |= {a | b for a in elems}
+    # `TritTable._codes` on all tables, in blocks of `step` bits: read as hex,
+    # bit i of a block is its nibble i, and ge_h added onto ge_1 is entry i's code.
+    step = 8 * -(-2 * width // 8)
+    whole = int.from_bytes(b"".join([t.to_bytes(step // 8, "little") for t in elems]), "little")
+    whole = int(format(whole, "b"), 16)
+    codes = format(whole + (whole >> 4 * width), f"0{len(elems) * step}x")[::-1]
+    codes = codes.encode().translate(_HEX_CODES)
+    return tuple(sorted([codes[i:i + width] for i in range(0, len(codes), step)]))
 
 
+@lru_cache(maxsize=None)
 def clone_closure(n: int) -> HomSet:
     """Least set of n-ary tables containing projections and constants and
-    closed under pointwise meet, join and bar."""
+    closed under pointwise meet, join and bar; one shared `HomSet` per arity."""
     if n > DEFAULT_CLONE_ARITY_CAP:
         raise CapExceededError(
             f"clone closure requested at arity {n} exceeds the cap {DEFAULT_CLONE_ARITY_CAP}"

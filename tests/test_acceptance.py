@@ -64,7 +64,7 @@ Z, O = ZERO, ONE
 
 def _clear_caches() -> None:
     core.all_tuples.cache_clear()
-    homsets._clone_entries.cache_clear()
+    homsets.clone_closure.cache_clear()
     cube.hairy_cube_recursive.cache_clear()
     relations.enumerate_subalgebras.cache_clear()
     relations.enumerate_congruences.cache_clear()

@@ -467,7 +467,7 @@ def _closed_subsets_mask_by_mask(n):
 
 @pytest.mark.parametrize("n, count", [(1, 6), (2, 101)])
 def test_lambda1_closed_subsets_match_the_mask_by_mask_test(n, count):
-    subsets = list(duality._lambda1_closed_subsets(n))
+    subsets = list(duality._lambda1_closed_subsets(StructuredSpace.power(n, (), (LAMBDA1,))))
     assert subsets == list(_closed_subsets_mask_by_mask(n))
     assert len(subsets) == count
 
@@ -478,7 +478,8 @@ def test_entailment_names_each_violation(monkeypatch):
     monkeypatch.setattr(duality, "R3", R2)
     expected = []
     for n in (1, 2):
-        for subset in duality._lambda1_closed_subsets(n):
+        power = StructuredSpace.power(n, (), (LAMBDA1,))
+        for subset in duality._lambda1_closed_subsets(power):
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
             for values in enumerate_homs_bruteforce(space):
                 expected += [(n, subset, values, name)
@@ -501,7 +502,7 @@ def test_partial_search_equals_one_search_per_closed_subset(n):
         domain = tuple(p for p, c in zip(power.carrier, m) if c != 3)
         by_domain.setdefault(domain, []).append(m.replace(b"\3", b""))
     assert by_domain.pop(()) == [b""]
-    closed = list(duality._lambda1_closed_subsets(n))
+    closed = list(duality._lambda1_closed_subsets(power))
     assert set(by_domain) == set(closed)
     for subset in closed:
         space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
@@ -520,13 +521,23 @@ def test_entailment_runs_one_search_per_power(monkeypatch):
     assert searched == [3, 9]
 
 
+def test_entailment_compiles_each_power_once(monkeypatch):
+    built = []
+    init = StructuredSpace.__init__
+    monkeypatch.setattr(StructuredSpace, "__init__",
+                        lambda self, carrier, *rest: built.append(len(carrier)) or
+                        init(self, carrier, *rest))
+    assert entailment_lambda1(2).passed
+    assert built == [3, 9]
+
+
 def test_entailment_fails_when_the_domains_are_not_the_closed_subsets(monkeypatch):
     """The closed subsets' bit-parallel count is a second route: a missing
     subset fails the report, and the substructures are still the domains
     the search found."""
     closed_subsets = duality._lambda1_closed_subsets
     monkeypatch.setattr(duality, "_lambda1_closed_subsets",
-                        lambda n: list(closed_subsets(n))[1:])
+                        lambda power: list(closed_subsets(power))[1:])
     report = entailment_lambda1(2)
     assert not report.passed
     assert report.violations == ((1, 6, 5, "domains"), (2, 101, 100, "domains"))

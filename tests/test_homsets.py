@@ -113,6 +113,72 @@ def test_clone_closure_matches_tuple_closure(n):
     assert clone_closure(n).maps == _tuple_clone(n)
 
 
+def _clone_entries_table_by_table(n):
+    """The oracle: the clone closed in the same three stages, the
+    irreducible meets found by a nested loop, the joins by `_close`, and
+    each table read out through its own `TritTable._codes`."""
+    width = 3 ** n
+    full = (1 << width) - 1
+    gens = [TritTable.projection(n, i) for i in range(1, n + 1)]
+    gens += [TritTable.constant(n, c) for c in ELEMENTS]
+    barred = homsets._close(list(dict.fromkeys(g.order_mask for g in gens)),
+                            lambda a: (full << width | full & ~a,))
+    meets = homsets._close(list(barred), lambda a: (a & b for b in barred))
+    irreducible = []
+    for a in meets:
+        below = 0
+        for b in meets:
+            if not b & ~a and b != a:
+                below |= b
+        if below != a:
+            irreducible.append(a)
+    elems = homsets._close(list(meets), lambda a: (a | b for b in irreducible))
+    return tuple(sorted(TritTable.from_planes(n, t >> width, t & full)._codes() for t in elems))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_clone_entries_match_the_table_by_table_closure(n):
+    assert homsets._clone_entries(n) == _clone_entries_table_by_table(n)
+
+
+def test_clone_closure_is_built_once_per_arity_and_its_tables_once():
+    clone = clone_closure(3)
+    assert clone_closure(3) is clone
+    tables = clone.tables()
+    assert clone.tables() is tables
+    assert [t._codes() for t in tables] == list(clone.maps)
+    # the memo is not part of the value
+    assert clone == HomSet(clone.source, clone.maps)
+    assert hash(clone) == hash(HomSet(clone.source, clone.maps))
+    assert "_tables" not in repr(clone_closure(1))
+
+
+def _linear_contains(homs, f):
+    """The oracle: a scan of the maps."""
+    try:
+        return homsets._as_assignment(f, homs.source) in tuple(homs.maps)
+    except ValueError:
+        return False
+
+
+@given(st.data())
+def test_membership_matches_a_linear_scan(data):
+    clone = clone_closure(3)
+    for m in clone.maps:
+        assert m in clone
+    drawn = data.draw(st.lists(st.one_of(
+        st.binary(min_size=26, max_size=28),  # wrong lengths too
+        st.lists(st.integers(0, 3), min_size=27, max_size=27).map(bytes),  # code 3 too
+        st.lists(st.sampled_from(ELEMENTS), min_size=27, max_size=27),
+        st.sampled_from(clone.maps).map(TritTable),
+        st.builds(TritTable.from_planes, st.just(3), st.integers(0, (1 << 27) - 1),
+                  st.just(0)),
+        st.sampled_from(clone_closure(2).tables()),  # another arity
+    ), max_size=20))
+    for f in drawn:
+        assert (f in clone) == _linear_contains(clone, f)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_clone_closure_is_closed_under_bar_meet_and_join(n):
     tables = clone_closure(n).tables()

@@ -1,5 +1,7 @@
 """Bitmask poset machinery."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -226,8 +228,9 @@ def transposed(rows):
 
 @st.composite
 def bit_rows(draw):
-    """A width in 0..8 and up to 12 rows of that width, some of them all zero."""
-    width = draw(st.integers(0, 8))
+    """A width in 0..20 and up to 12 rows of that width, some of them all
+    zero; `_transpose` pads rows wider than 8 bits to 2 or 3 bytes."""
+    width = draw(st.integers(0, 20))
     row = st.integers(0, (1 << width) - 1)
     return width, draw(st.lists(st.one_of(st.just(0), row), max_size=12))
 
@@ -241,13 +244,17 @@ def test_transpose_matches_a_naive_transpose(case):
 
 @st.composite
 def narrow_or_wide_masks(draw):
-    # Up to 40 masks of at most 6 bits take the column path of `from_masks`
-    # once there are at least as many masks as bits, and the pairwise path
-    # below that; `distinct_masks` gives masks wider than their count.
+    # Up to 40 masks of at most 6, 12 or 20 bits take the column path of
+    # `from_masks` once there are at least as many masks as bits, and the
+    # pairwise path below that.  At 12 and 20 bits the column path mostly
+    # sees more than 8 and more than 16 distinct columns, so it looks each
+    # element up in more than two and more than four slices of 4 columns.
+    # `distinct_masks` gives masks wider than their count.
     if draw(st.booleans()):
+        bits = draw(st.sampled_from([6, 12, 20]))
         size = draw(st.integers(0, 40))
         return draw(
-            st.lists(st.integers(0, 63), unique=True, min_size=size, max_size=size)
+            st.lists(st.integers(0, (1 << bits) - 1), unique=True, min_size=size, max_size=size)
         )
     return draw(distinct_masks())
 
@@ -268,6 +275,17 @@ def test_order_rows_of_both_from_masks_paths_match_from_leq(masks, rng):
     assert (r._down, r._up) == (ref._down, ref._up)
     for poset in (p, q, r):
         assert poset._up == transposed(poset._down)
+
+
+@pytest.mark.parametrize("bits, columns", [(12, 8), (20, 16)])
+def test_column_path_past_8_and_16_distinct_columns(bits, columns):
+    """Seeded masks with more than 8 (16) distinct bit columns."""
+    rng = random.Random(bits)
+    masks = rng.sample(range(1 << bits), 40)
+    assert len(set(posets._transpose(masks, bits))) > columns
+    p = FinitePoset.from_masks(range(40), masks)
+    q = FinitePoset.from_leq(range(40), lambda x, y: masks[x] & ~masks[y] == 0)
+    assert (p._down, p._up) == (q._down, q._up)
 
 
 @st.composite
