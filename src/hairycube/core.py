@@ -82,6 +82,7 @@ def semiring_add(a: Element, b: Element) -> Element:
 _BAR = (ONE, ONE, H)  # bar by element code
 
 
+# Module names only because perfbench/spans.py counts them; they go with ROADMAP item 1a.
 def tuple_meet(x: tuple[Element, ...], y: tuple[Element, ...]) -> tuple[Element, ...]:
     return tuple(map(min, x, y))
 
@@ -122,6 +123,21 @@ def planes(codes) -> tuple[int, int]:
     0, 1, 2: bit i is entry i."""
     bits = bytes(codes)[::-1]  # entry 0 becomes the lowest bit
     return int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
+
+
+@lru_cache(maxsize=None)
+def _point_masks(k: int) -> dict[tuple[Element, ...], int]:
+    """Each point of S^k as its two planes side by side, ge_h above ge_1, so
+    componentwise meet and join are `&` and `|`; the one point of S^0, the
+    empty tuple, has no planes and reads 0."""
+    return {p: ge_h << k | ge_1 for p in all_tuples(k)
+            for ge_h, ge_1 in [planes(p) if k else (0, 0)]}
+
+
+def _constant_masks(k: int) -> tuple[int, int, int]:
+    """The `_point_masks` of the constant points 0, h and 1 of S^k."""
+    full = (1 << k) - 1
+    return 0, full << k, full << k | full
 
 
 def codes_text(codes: bytes) -> str:
@@ -279,6 +295,12 @@ class TritTable(Frozen):
     def order_mask(self) -> int:
         """Both planes in one int; within an arity, `leq` is mask inclusion."""
         return self.ge_h << 3 ** self.arity | self.ge_1
+
+    @classmethod
+    def from_order_mask(cls, arity: int, mask: int) -> "TritTable":
+        """The table whose `order_mask` is mask."""
+        width = 3 ** arity
+        return cls.from_planes(arity, mask >> width, mask & (1 << width) - 1)
 
     def _same_arity(self, other: "TritTable") -> None:
         if self.arity != other.arity:

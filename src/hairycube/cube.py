@@ -64,8 +64,10 @@ def eval_polynomial(epsilon: tuple[int, ...], meet_h: bool) -> TritTable:
     return table
 
 
+@lru_cache(maxsize=None)
 def eta(table: TritTable) -> tuple[int, ...]:
-    """Cube coordinate of a base join-irreducible (order isomorphism onto 2^n)."""
+    """Cube coordinate of a base join-irreducible (order isomorphism onto 2^n);
+    computed once per table."""
     n = table.arity
     if not table.leq(TritTable.constant(n, H)):
         raise ValueError("eta is only defined below h")
@@ -348,4 +350,9 @@ def chi_lattice(n: int) -> FinitePoset:
 
 
 def extracted_hairy_cube(n: int) -> FinitePoset:
-    return join_irreducibles(chi_lattice(n))
+    """`join_irreducibles(chi_lattice(n))`, read off the clone's order masks:
+    only the join-irreducibles become tables."""
+    masks = clone_closure(n).order_masks()
+    ji = join_irreducibles(FinitePoset.from_masks(masks, masks))
+    tables = [TritTable.from_order_mask(n, m) for m in ji.elements]
+    return FinitePoset(tables, [ji.down_mask(i) for i in range(ji.n)])

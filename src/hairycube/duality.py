@@ -11,11 +11,13 @@ hom-set geometry across variants.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, compress
 from operator import add
 from typing import NamedTuple
 
 from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes, tuple_index
+from .core import _constant_masks, _point_masks
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import _ABSENT, _CODES, _PRESENT, _broken, _columns, _search
 from .homsets import (
@@ -126,9 +128,19 @@ def compose_lambda_swap() -> bool:
 
 
 def homs_for_variant(n: int, variant_name: str, carrier_cap: int = DEFAULT_CARRIER_CAP) -> HomSet:
+    """The variant's hom-set S^n -> S.  The powers the default cap admits
+    (n <= 2) are searched once and shared; larger ones on every call, so no
+    module cache keeps them alive."""
+    if 3 ** n <= min(carrier_cap, DEFAULT_CARRIER_CAP):
+        return _small_power_homs(n, variant_name)
     return enumerate_homs_bruteforce(
         variant(variant_name).power_space(n), carrier_cap=carrier_cap
     )
+
+
+@lru_cache(maxsize=None)
+def _small_power_homs(n: int, variant_name: str) -> HomSet:
+    return enumerate_homs_bruteforce(variant(variant_name).power_space(n))
 
 
 def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
@@ -142,7 +154,12 @@ def algebra_homs(carrier: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
     Bar needs no check on a subalgebra: bar a is the complement of a v h in
     [h, 1], so f(bar a) is the (unique) one of f(a) v h in S: bar f(a).
     """
-    points = sorted(set(map(tuple, carrier)))
+    return _algebra_homs(tuple(sorted(set(map(tuple, carrier)))))
+
+
+@lru_cache(maxsize=None)
+def _algebra_homs(points: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
+    """`algebra_homs` of a sorted carrier, computed once per carrier."""
     if not points or len(set(map(len, points))) != 1:
         raise ValueError("carrier must be a nonempty set of points of one width")
     k = len(points[0])
@@ -335,9 +352,10 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
         power = StructuredSpace.power(n, (), (LAMBDA1,))
         leaves = list(chain.from_iterable(_search(power, _CODES + (_ABSENT,))))
         leaves.remove(_ABSENT * power.size)  # the empty map, on the empty subset
-        domains = [tuple(compress(power.carrier, m.translate(_PRESENT))) for m in leaves]
+        present = [m.translate(_PRESENT) for m in leaves]
+        domain = {p: tuple(compress(power.carrier, p)) for p in set(present)}
         closed = {subset: r for r, subset in enumerate(_lambda1_closed_subsets(power))}
-        found = set(domains)
+        found = set(domain.values())
         substructures += len(found)
         maps_checked += len(leaves)
         if found != closed.keys():
@@ -345,8 +363,8 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
         cols = _columns(b"".join(leaves), power.size)
         named = [(name, _broken(cols, [(rel, *p) for p in power.related_pairs(rel)], ()))
                  for name, rel in (("r1", R1), ("r3", R3))]
-        violations += sorted([(n, domain, m.replace(_ABSENT, b""), name)
-                              for q, (domain, m) in enumerate(zip(domains, leaves))
+        violations += sorted([(n, domain[p], m.replace(_ABSENT, b""), name)
+                              for q, (p, m) in enumerate(zip(present, leaves))
                               for name, bad in named if bad >> q & 1],
                              key=lambda v: closed.get(v[1], -1))  # in closed-subset order
     return EntailmentReport(max_power, substructures, maps_checked, tuple(violations))
@@ -370,6 +388,18 @@ class EvaluationReport(NamedTuple):
         return self.bijective and self.homomorphism
 
 
+def _keeps_meet_join_constants(carrier, evaluations: list[bytes]) -> bool:
+    """Does the map carrier[i] |-> evaluations[i] keep componentwise meet,
+    join and the constants?  Points and evaluations are read as plane masks,
+    ge_h above ge_1 (`_point_masks` for the points), where meet and join are
+    `&` and `|` on both sides; carrier must be a subuniverse."""
+    k, d = len(carrier[0]), len(evaluations[0])
+    points = map(_point_masks(k).__getitem__, carrier)
+    at = {a: ge_h << d | ge_1 for a, (ge_h, ge_1) in zip(points, map(planes, evaluations))}
+    return all(at[c] == e for c, e in zip(_constant_masks(k), _constant_masks(d))) and all(
+        at[a & b] == at[a] & at[b] and at[a | b] == at[a] | at[b] for a in at for b in at)
+
+
 def evaluation_map_check(carrier, variant_name: str = "relational") -> EvaluationReport:
     """Is a |-> (f |-> f(a)) an isomorphism onto the double dual?
 
@@ -379,7 +409,6 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     carrier = tuple(sorted(set(tuple(p) for p in carrier)))
     if not carrier:
         raise ValueError("carrier must be nonempty")
-    k = len(carrier[0])
     if not is_subuniverse(carrier):
         raise ValueError("carrier is not a subuniverse")
 
@@ -388,25 +417,14 @@ def evaluation_map_check(carrier, variant_name: str = "relational") -> Evaluatio
     dual_space = StructuredSpace.from_points(duals, var.relations, var.partial_ops)
     double_dual = enumerate_homs_bruteforce(dual_space)
 
-    evaluations = [bytes(f[i] for f in dual_space.carrier) for i in range(len(carrier))]
+    # the evaluation at point i is byte i of every dual, in dual_space's order
+    blob = b"".join(duals)
+    evaluations = [blob[i::len(carrier)] for i in range(len(carrier))]
 
     bijective = len(set(evaluations)) == len(carrier) and set(evaluations) == set(
         double_dual.maps
     )
-
-    index = {p: i for i, p in enumerate(carrier)}
-    homomorphism = True
-    for x in carrier:
-        for y in carrier:
-            em = bytes(map(min, evaluations[index[x]], evaluations[index[y]]))
-            ej = bytes(map(max, evaluations[index[x]], evaluations[index[y]]))
-            if em != evaluations[index[tuple(map(min, x, y))]]:
-                homomorphism = False
-            if ej != evaluations[index[tuple(map(max, x, y))]]:
-                homomorphism = False
-    for c in ELEMENTS:
-        if evaluations[index[(c,) * k]] != bytes((c,)) * len(duals):
-            homomorphism = False
+    homomorphism = _keeps_meet_join_constants(carrier, evaluations)
 
     return EvaluationReport(
         len(carrier),

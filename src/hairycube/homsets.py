@@ -33,7 +33,8 @@ from itertools import chain, compress, islice
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import _HEX_CODES, ELEMENTS, Element, Frozen, TritTable, all_tuples, planes
+from .core import _GE_1_BIT, _GE_H_BIT, _HEX_CODES, ELEMENTS, Element, Frozen, TritTable
+from .core import all_tuples, planes
 from .posets import CapExceededError, FinitePoset, _bits, _flags
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
@@ -302,10 +303,20 @@ class HomSet(Frozen):
                 TritTable.from_planes(self.source.arity, *planes(m)) for m in self.maps))
         return self._tables
 
+    def order_masks(self) -> list[int]:
+        """Each map's `TritTable.order_mask` (ge_h above ge_1, bit i of a
+        plane entry i), read off all maps in one pass."""
+        width = self.source.size
+        # Reversed, a map's codes run from its last entry down, so its ge_h
+        # bits and then its ge_1 bits, read as one binary number, are its mask.
+        rev = b"".join(self.maps)[::-1]
+        ge_h, ge_1 = rev.translate(_GE_H_BIT), rev.translate(_GE_1_BIT)
+        return [int(ge_h[i:i + width] + ge_1[i:i + width], 2)
+                for i in range(0, len(rev), width)][::-1]
+
     def lattice(self) -> FinitePoset:
         """The tables under the pointwise order."""
-        tables = self.tables()
-        return FinitePoset.from_masks(tables, [t.order_mask for t in tables])
+        return FinitePoset.from_masks(self.tables(), self.order_masks())
 
 
 def _search(space: StructuredSpace, codes: tuple[bytes, ...]) -> Iterator[list[bytes]]:

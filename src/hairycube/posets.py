@@ -7,12 +7,15 @@ holds the indices weakly below i and `up[i]` those weakly above.
 
 Costs, for N elements whose masks are `width` bits wide:
 
-- `from_masks` with `width <= N` transposes the masks once (in C) into their
-  D distinct bit columns and looks both rows up 4 columns at a time, N*D/4
-  steps in C (D = 16 against N = 775 for the 3-ary hom-set lattice);
-- `from_masks` with wider masks tests all N*N pairs, the smaller cost there
+- `from_masks` tests all N*N pairs when the masks are wider than N
   (`open_set_order` on the 3-dimensional hairy cube: 16 masks of 775 bits,
-  one per open set), and transposes the down rows into the up rows in C;
+  one per open set) or N*N is at most 64 per bit of width (the 7 unary
+  tables, the 13 subalgebras of S^2), and transposes the down rows into the
+  up rows in C;
+- `from_masks` otherwise transposes the masks once (in C) into their D
+  distinct bit columns and looks both rows up 4 columns at a time, about
+  250 pair tests' worth per 4 columns plus N*D/4 steps in C (D = 16 against
+  N = 775 for the 3-ary hom-set lattice);
 - `from_leq` calls `leq` N*N times;
 - covers peel the maxima off each strict downset, in steps that scale with
   the covers rather than with the comparable pairs;
@@ -116,19 +119,20 @@ class FinitePoset:
         """x <= y iff masks[x] & ~masks[y] == 0, for nonnegative masks: a
         partial order unless two masks are equal, which raises ValueError.
 
-        When the masks are no wider than their count N, the rows come from
-        the D distinct bit columns of the masks (column c holds the
-        elements with bit c): `up[i]` is the AND of the columns that hold
-        i, and `down[i]` that of the complements of the others, looked up
-        4 columns at a time.  Wider masks are tested pairwise, N*N steps,
-        and `up` is the transpose of `down`.
+        The masks are tested pairwise, N*N steps with `up` the transpose of
+        `down`, when they are wider than their count N or N*N is at most 64
+        per bit of width: a slice of 4 columns below costs about as much as
+        250 pair tests.  Otherwise the rows come from the D distinct bit
+        columns of the masks (column c holds the elements with bit c):
+        `up[i]` is the AND of the columns that hold i, and `down[i]` that of
+        the complements of the others, looked up 4 columns at a time.
         """
         masks = tuple(masks)
         n = len(masks)
         if len(set(masks)) != n:
             raise ValueError("equal masks: inclusion is not antisymmetric")
         width = max(masks, default=0).bit_length()
-        if width > n:
+        if width > n or n * n <= 64 * width:
             return cls(elements, [sum(1 << j for j, x in enumerate(masks) if not x & outside)
                                   for outside in [~m for m in masks]])
         columns = list(set(_transpose(masks, width)))

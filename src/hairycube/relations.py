@@ -21,9 +21,8 @@ from .core import (
     ZERO,
     Frozen,
     all_tuples,
-    tuple_bar,
-    tuple_join,
-    tuple_meet,
+    _constant_masks,
+    _point_masks,
 )
 from .posets import FinitePoset
 
@@ -143,23 +142,22 @@ def is_subuniverse(subset: SubsetLike) -> bool:
     tuples (2 for a BinaryRelation) and at most 3.
 
     Requires the constant tuples and closure under componentwise meet,
-    join and bar.
+    join and bar, tested on the points' `_point_masks`: meet and join are
+    `&` and `|`, and bar sets ge_h everywhere and ge_1 where the point is
+    not 1.
     """
     tuples = frozenset(map(tuple, subset))
     widths = set(map(len, tuples))
     if len(widths) > 1 or not widths <= {1, 2, 3}:
         raise ValueError(f"k must be 1, 2 or 3 and shared by the tuples, got {sorted(widths)}")
-    k = max(widths, default=0)  # an empty subset lacks the constants at any k
-    for c in ELEMENTS:
-        if (c,) * k not in tuples:
-            return False
-    for x in tuples:
-        if tuple_bar(x) not in tuples:
-            return False
-    for x, y in combinations(tuples, 2):
-        if tuple_meet(x, y) not in tuples or tuple_join(x, y) not in tuples:
-            return False
-    return True
+    if not tuples:
+        return False  # an empty subset lacks the constants at any k
+    k = widths.pop()
+    full = (1 << k) - 1
+    masks = set(map(_point_masks(k).__getitem__, tuples))
+    return masks.issuperset(_constant_masks(k)) and all(
+        masks.issuperset([full << k | full & ~a] + [a & b for b in masks] + [a | b for b in masks])
+        for a in masks)
 
 
 @lru_cache(maxsize=None)
@@ -199,19 +197,15 @@ def _canonical_names() -> dict[int, str]:
 
 
 def canonical_name(r: BinaryRelation) -> str:
-    return _canonical_names().get(r.mask, str(r))
+    name = _canonical_names().get(r.mask)
+    return str(r) if name is None else name
 
 
 @lru_cache(maxsize=None)
 def enumerate_congruences() -> FinitePoset:
-    """Compatible equivalence relations on S, by (size, mask), under inclusion."""
-    found = [
-        BinaryRelation(mask)
-        for mask in range(1 << 9)
-        if BinaryRelation(mask).is_equivalence()
-        and is_subuniverse(BinaryRelation(mask))
-    ]
-    found.sort(key=lambda r: (len(r), r.mask))
+    """Compatible equivalence relations on S: the equivalences among the
+    subalgebras of S^2, by (size, mask), under inclusion."""
+    found = [r for r in enumerate_subalgebras().elements if r.is_equivalence()]
     return FinitePoset.from_masks(found, [r.mask for r in found])
 
 

@@ -7,7 +7,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .core import codes_text
@@ -26,7 +25,10 @@ SCHEMA = 1
 def json_chunks(payload: dict) -> list[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"` in pieces of at
     most one escaped string each, escaping each distinct string once (json's
-    indenting encoder escapes it at every occurrence); non-string keys raise TypeError."""
+    indenting encoder escapes it at every occurrence); non-string keys raise TypeError.
+    `json` is imported here, so text requests do not load it."""
+    import json
+
     out, escape = [], lru_cache(maxsize=None)(json.encoder.encode_basestring)
 
     def emit(value, indent: str) -> None:

@@ -56,7 +56,6 @@ from .homsets import (
     assemble,
     break_flags,
     clone_closure,
-    enumerate_homs_bruteforce,
     lift,
 )
 from .posets import FinitePoset
@@ -65,6 +64,7 @@ from .relations import (
     FULL,
     R2,
     R3,
+    BinaryRelation,
     canonical_name,
     enumerate_congruences,
     enumerate_subalgebras,
@@ -203,9 +203,11 @@ def suite_congruences(n_max: int | None = None) -> SuiteReport:
               {c.mask for c in cons} == expected,
               {"names": [canonical_name(c) for c in cons]})
     )
-    filtered = tuple(
-        r for r in enumerate_subalgebras().elements if r.is_equivalence()
-    )
+    # the other route: the equivalences on S are the kernels of the 27 maps
+    # S -> S; keep those that are subuniverses of S^2
+    kernels = {BinaryRelation.from_pairs((a, b) for a in ELEMENTS for b in ELEMENTS if f[a] == f[b])
+               for f in all_tuples(3)}
+    filtered = tuple(r for r in kernels if is_subuniverse(r))
     checks.append(
         Check("matches-subalgebra-filter",
               "independently enumerated congruences equal the equivalence "
@@ -240,7 +242,7 @@ _UNARY_COVERS = {
 
 def suite_homs_agree(n_max: int | None = None) -> SuiteReport:
     checks = []
-    brute1 = enumerate_homs_bruteforce(StructuredSpace.power(1))
+    brute1 = homs_for_variant(1, "relational")
     clone1 = clone_closure(1)
     checks.append(
         Check("unary-homset",
@@ -259,7 +261,7 @@ def suite_homs_agree(n_max: int | None = None) -> SuiteReport:
               "term clone and relational enumeration agree at arity 1",
               set(clone1.maps) == set(brute1.maps))
     )
-    brute2 = enumerate_homs_bruteforce(StructuredSpace.power(2))
+    brute2 = homs_for_variant(2, "relational")
     clone2 = clone_closure(2)
     checks.append(
         Check("clone-vs-bruteforce-2",
@@ -277,7 +279,7 @@ def suite_homs_agree(n_max: int | None = None) -> SuiteReport:
     closure_ok = True
     for n in (2, 3):
         lower = clone_closure(n - 1)
-        upper = set(clone_closure(n).tables())
+        upper = clone_closure(n)
         zero = TritTable.constant(n - 1, ZERO)
         for psi in lower.tables():
             psi_h = psi.meet_h()

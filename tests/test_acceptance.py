@@ -9,7 +9,7 @@ import sys
 import time
 from itertools import combinations, product
 
-from hairycube import core, cube, homsets, relations
+from hairycube import core, cube, duality, homsets, relations
 from hairycube.core import (
     ELEMENTS,
     H,
@@ -64,8 +64,12 @@ Z, O = ZERO, ONE
 
 def _clear_caches() -> None:
     core.all_tuples.cache_clear()
+    core._point_masks.cache_clear()
     homsets.clone_closure.cache_clear()
     cube.hairy_cube_recursive.cache_clear()
+    cube.eta.cache_clear()
+    duality._small_power_homs.cache_clear()
+    duality._algebra_homs.cache_clear()
     relations.enumerate_subalgebras.cache_clear()
     relations.enumerate_congruences.cache_clear()
     relations._canonical_names.cache_clear()

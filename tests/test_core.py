@@ -20,6 +20,9 @@ from hairycube.core import (
     join,
     meet,
     nu_term,
+    planes,
+    _constant_masks,
+    _point_masks,
     semiring_add,
     tuple_bar,
     tuple_index,
@@ -127,6 +130,21 @@ def test_all_tuples_canonical_order():
     assert pairs[-1] == (ONE, ONE)
     for i, t in enumerate(all_tuples(3)):
         assert tuple_index(t) == i
+
+
+def test_point_masks_are_built_once():
+    for k in range(4):
+        assert _point_masks(k) is _point_masks(k)
+        assert list(_point_masks(k)) == list(all_tuples(k))
+    assert _point_masks(0) == {(): 0}
+    for k in range(4):
+        assert _constant_masks(k) == tuple(_point_masks(k)[(c,) * k] for c in ELEMENTS)
+    for k in (1, 2, 3):
+        for p, m in _point_masks(k).items():
+            ge_h, ge_1 = planes(p)
+            assert m == ge_h << k | ge_1
+            assert all(_point_masks(k)[tuple(map(f, p, q))] == g(m, _point_masks(k)[q])
+                       for q in all_tuples(k) for f, g in ((min, int.__and__), (max, int.__or__)))
 
 
 def test_table_construction_and_call():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube import verify
+from hairycube import homsets, verify
 from hairycube.core import ZERO, H, TritTable
 from hairycube.cube import (
     JIElement,
@@ -55,6 +55,28 @@ def test_recursive_equals_extracted():
         )
         assert mirrored == rec
         assert set(ext.cover_pairs()) == {(a.table, b.table) for a, b in rec.cover_pairs()}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_extracted_cube_is_the_join_irreducibles_of_the_lattice(n):
+    """Read off the clone's order masks, it equals the join-irreducibles of
+    the table lattice: the same tables in the same order, the same rows."""
+    ext, ref = extracted_hairy_cube(n), join_irreducibles(chi_lattice(n))
+    assert ext.elements == ref.elements
+    assert all(type(t) is TritTable for t in ext.elements)
+    assert [ext.down_mask(i) for i in range(ext.n)] == [ref.down_mask(i) for i in range(ref.n)]
+    assert ext._up == ref._up
+
+
+def test_verify_builds_no_arity_3_tables():
+    homsets.clone_closure.cache_clear()
+    verify.run_suite("all")
+    assert homsets.clone_closure(3)._tables is None
+
+
+def test_eta_is_computed_once_per_table():
+    t = TritTable.from_string("0hh0hh0hh")
+    assert eta(t) is eta(TritTable.from_string("0hh0hh0hh"))
 
 
 def _mask_order(elements):

@@ -585,6 +585,60 @@ def test_evaluation_isomorphisms():
         assert rep.dual_size == EXPECTED_DUAL_SIZES[canonical_name(rel)]
 
 
+def _loop_keeps_meet_join_constants(carrier, evaluations) -> bool:
+    """The pair-by-pair test on entry codes: evaluation at the meet (join) of
+    two points is the pointwise min (max) of theirs, and at a constant tuple
+    it is that constant."""
+    index = {p: i for i, p in enumerate(carrier)}
+    k, d = len(carrier[0]), len(evaluations[0])
+    for x in carrier:
+        for y in carrier:
+            ex, ey = evaluations[index[x]], evaluations[index[y]]
+            if bytes(map(min, ex, ey)) != evaluations[index[tuple(map(min, x, y))]]:
+                return False
+            if bytes(map(max, ex, ey)) != evaluations[index[tuple(map(max, x, y))]]:
+                return False
+    return all(evaluations[index[(c,) * k]] == bytes((c,)) * d for c in ELEMENTS)
+
+
+def _the_fifteen_algebras():
+    return [all_tuples(1), all_tuples(2)] + [rel.pairs() for rel in enumerate_subalgebras().elements]
+
+
+def test_homomorphism_flag_matches_the_pair_loop():
+    """On all 15 algebras and every evaluation with one code changed."""
+    failed = 0
+    for carrier in map(tuple, _the_fifteen_algebras()):
+        duals = algebra_homs(carrier)
+        evaluations = [bytes(f[i] for f in duals) for i in range(len(carrier))]
+        assert duality._keeps_meet_join_constants(carrier, evaluations)
+        assert _loop_keeps_meet_join_constants(carrier, evaluations)
+        for i, j, v in product(range(len(carrier)), range(len(duals)), range(3)):
+            if evaluations[i][j] != v:
+                bad = list(evaluations)
+                bad[i] = bad[i][:j] + bytes((v,)) + bad[i][j + 1:]
+                flag = duality._keeps_meet_join_constants(carrier, bad)
+                assert flag == _loop_keeps_meet_join_constants(carrier, bad), (carrier, i, j, v)
+                failed += not flag
+    assert failed > 0
+    # h evaluated as 1 on S: the constant h is no longer kept
+    assert not duality._keeps_meet_join_constants(all_tuples(1), [b"\0", b"\2", b"\2"])
+
+
+def test_the_shared_objects_are_computed_once():
+    carrier = R3.pairs()
+    assert algebra_homs(carrier) is algebra_homs(carrier[::-1])
+    for n, name in product((1, 2), VARIANTS):
+        assert homs_for_variant(n, name) is homs_for_variant(n, name)
+    with pytest.raises(CapExceededError):
+        homs_for_variant(2, "relational", carrier_cap=8)
+    # past the default cap every call searches, and no cache keeps the result
+    cached = duality._small_power_homs.cache_info().currsize
+    first, second = (homs_for_variant(3, "relational", carrier_cap=27) for _ in range(2))
+    assert first == second and first is not second
+    assert duality._small_power_homs.cache_info().currsize == cached
+
+
 def test_evaluation_rejects_an_empty_carrier():
     for carrier in ((), []):
         with pytest.raises(ValueError, match="carrier must be nonempty"):

@@ -21,6 +21,7 @@ from hairycube.core import (
     all_tuples,
     join,
     meet,
+    planes,
     tuple_bar,
     tuple_join,
     tuple_meet,
@@ -356,6 +357,22 @@ def test_clone_maps_are_the_codes_of_their_tables(n):
     assert len(tables) == len(clone.maps)
     for i, t in enumerate(tables):
         assert clone.maps[i] == t._codes() == bytes(t.entries)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_order_masks_are_the_tables_order_masks(n):
+    clone = clone_closure(n)
+    masks = clone.order_masks()
+    assert masks == [t.order_mask for t in clone.tables()]
+    assert [TritTable.from_order_mask(n, m) for m in masks] == list(clone.tables())
+
+
+def test_order_masks_of_a_proper_carrier():
+    """One plane bit per carrier point, ge_h above ge_1."""
+    space = StructuredSpace.from_points([(ZERO, ZERO), (H, H), (ONE, ONE), (ZERO, ONE)])
+    homs = enumerate_homs_bruteforce(space)
+    assert len(homs) == 3 ** 4
+    assert homs.order_masks() == [ge_h << 4 | ge_1 for ge_h, ge_1 in map(planes, homs.maps)]
 
 
 def test_lift_refuses_what_is_not_a_hom_set():

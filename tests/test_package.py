@@ -58,6 +58,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
 
 
+def test_text_requests_do_not_load_json():
+    """`json` (whose decoder compiles regular expressions on import) is
+    loaded only where JSON is written."""
+    code = ("import sys; from hairycube.cli import main; main(['homs', '--n', '1']); "
+            "print(sorted({'json', 'json.decoder'} & set(sys.modules)), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "[]\n")
+    assert run.stdout.startswith("hom-set: arity 1")
+
+
 def _diagonal_op(name: str) -> PartialOp:
     return PartialOp.from_graph(name, DIAGONAL, [(e, e, e) for e in ELEMENTS])
 

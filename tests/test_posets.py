@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hairycube import homsets, posets
 from hairycube.cube import chi_lattice, hairy_cube_recursive
 from hairycube.posets import CapExceededError, FinitePoset
+from hairycube.relations import enumerate_subalgebras
 
 
 def greatest_lower_bound(p: FinitePoset, i: int, j: int) -> int:
@@ -244,15 +245,16 @@ def test_transpose_matches_a_naive_transpose(case):
 
 @st.composite
 def narrow_or_wide_masks(draw):
-    # Up to 40 masks of at most 6, 12 or 20 bits take the column path of
-    # `from_masks` once there are at least as many masks as bits, and the
-    # pairwise path below that.  At 12 and 20 bits the column path mostly
-    # sees more than 8 and more than 16 distinct columns, so it looks each
-    # element up in more than two and more than four slices of 4 columns.
-    # `distinct_masks` gives masks wider than their count.
+    # Up to 64 masks of at most 6, 12 or 20 bits take the column path of
+    # `from_masks` once the count N has N*N above 64 per bit (N >= 20, 28
+    # and 36 at full width), and the pairwise path below that.  At 12 and
+    # 20 bits the column path mostly sees more than 8 and more than 16
+    # distinct columns, so it looks each element up in more than two and
+    # more than four slices of 4 columns.  `distinct_masks` gives masks
+    # wider than their count.
     if draw(st.booleans()):
         bits = draw(st.sampled_from([6, 12, 20]))
-        size = draw(st.integers(0, 40))
+        size = draw(st.integers(0, 64))
         return draw(
             st.lists(st.integers(0, (1 << bits) - 1), unique=True, min_size=size, max_size=size)
         )
@@ -286,6 +288,24 @@ def test_column_path_past_8_and_16_distinct_columns(bits, columns):
     p = FinitePoset.from_masks(range(40), masks)
     q = FinitePoset.from_leq(range(40), lambda x, y: masks[x] & ~masks[y] == 0)
     assert (p._down, p._up) == (q._down, q._up)
+
+
+def test_small_posets_take_the_pairwise_path(monkeypatch):
+    """The 7 unary tables (6 bits) and the 13 subalgebras of S^2 (9 bits)
+    cost less pairwise than one slice of 4 columns, so they never reach the
+    column path; the 35 binary tables (18 bits) do."""
+    unary = [t.order_mask for t in homsets.clone_closure(1).tables()]
+    subalgebras = [r.mask for r in enumerate_subalgebras().elements]
+    binary = [t.order_mask for t in homsets.clone_closure(2).tables()]
+    calls = []
+    flags = posets._flags  # read by the column path only, once per column
+    monkeypatch.setattr(posets, "_flags", lambda bits, count: calls.append(count) or flags(bits, count))
+    for masks, column_path in ((unary, False), (subalgebras, False), (binary, True)):
+        calls.clear()
+        p = FinitePoset.from_masks(range(len(masks)), masks)
+        q = FinitePoset.from_leq(range(len(masks)), lambda x, y: masks[x] & ~masks[y] == 0)
+        assert (p._down, p._up) == (q._down, q._up)
+        assert bool(calls) == column_path, len(masks)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube.core import ELEMENTS, H, ONE, ZERO
+from hairycube.core import ELEMENTS, H, ONE, ZERO, all_tuples, tuple_bar, tuple_join, tuple_meet
 from hairycube.posets import FinitePoset
 from hairycube.relations import (
     DIAGONAL,
@@ -157,6 +157,83 @@ def test_membership_matches_direct_check(mask):
     rel = BinaryRelation(mask)
     in_lattice = rel in set(enumerate_subalgebras().elements)
     assert in_lattice == (DIAGONAL.issubset(rel) and is_subuniverse(rel))
+
+
+def _tuple_is_subuniverse(subset) -> bool:
+    """The tuple-level closure test: constants, then bar of each tuple and
+    the meet and join of each pair, pointwise on entry tuples."""
+    tuples = frozenset(map(tuple, subset))
+    k = max(map(len, tuples), default=0)
+    if any((c,) * k not in tuples for c in ELEMENTS):
+        return False
+    if any(tuple_bar(x) not in tuples for x in tuples):
+        return False
+    return all(tuple_meet(x, y) in tuples and tuple_join(x, y) in tuples
+               for x, y in combinations(tuples, 2))
+
+
+def _subset(points, mask):
+    return [p for i, p in enumerate(points) if mask >> i & 1]
+
+
+def test_plane_closure_matches_the_tuple_closure_on_every_subset_of_s1_and_s2():
+    for k in (1, 2):
+        points = all_tuples(k)
+        for mask in range(1 << len(points)):
+            subset = _subset(points, mask)
+            assert is_subuniverse(subset) == _tuple_is_subuniverse(subset), (k, mask)
+    assert all(is_subuniverse(BinaryRelation(m)) == _tuple_is_subuniverse(BinaryRelation(m))
+               for m in range(1 << 9))
+
+
+@given(st.integers(min_value=0, max_value=(1 << 27) - 1))
+def test_plane_closure_matches_the_tuple_closure_on_drawn_subsets_of_s3(mask):
+    # a drawn subset almost never holds the constants; add them to half the draws
+    constants = sum(1 << 13 * c for c in range(3))
+    for m in (mask, mask | constants):
+        subset = _subset(all_tuples(3), m)
+        assert is_subuniverse(subset) == _tuple_is_subuniverse(subset)
+
+
+def test_plane_closure_matches_the_tuple_closure_on_closed_subsets_of_s3():
+    # drawn subsets of S^3 are seldom closed: close two generators with the
+    # constants under the tuple operations, then drop one point of each
+    generated = []
+    for gens in combinations(all_tuples(3)[1:12], 2):
+        closed = set(gens) | {(c,) * 3 for c in ELEMENTS}
+        while True:
+            more = {tuple_bar(x) for x in closed} | {
+                f(x, y) for x in closed for y in closed for f in (tuple_meet, tuple_join)}
+            if more <= closed:
+                break
+            closed |= more
+        generated.append(closed)
+    assert all(is_subuniverse(s) and _tuple_is_subuniverse(s) for s in generated)
+    for s in generated[:20]:
+        for x in s - {(c,) * 3 for c in ELEMENTS}:
+            assert is_subuniverse(s - {x}) == _tuple_is_subuniverse(s - {x})
+
+
+def test_congruences_equal_the_brute_force_over_all_masks():
+    brute = [BinaryRelation(m) for m in range(1 << 9)
+             if BinaryRelation(m).is_equivalence() and _tuple_is_subuniverse(BinaryRelation(m))]
+    brute.sort(key=lambda r: (len(r), r.mask))
+    assert enumerate_congruences().elements == tuple(brute)
+
+
+def test_congruence_check_compares_two_routes(monkeypatch):
+    """`matches-subalgebra-filter` holds, and fails once the enumerated
+    congruences lose one: its other side does not read them."""
+    from hairycube import verify
+
+    def checks():
+        return {c.name: c.passed for c in verify.suite_congruences().checks}
+
+    assert checks()["matches-subalgebra-filter"]
+    cons = enumerate_congruences()
+    fewer = FinitePoset.from_masks(cons.elements[1:], [r.mask for r in cons.elements[1:]])
+    monkeypatch.setattr(verify, "enumerate_congruences", lambda: fewer)
+    assert not checks()["matches-subalgebra-filter"]
 
 
 def test_congruence_lattice():
