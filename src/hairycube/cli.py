@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 from .duality import VARIANTS, homs_for_variant, variant
@@ -25,13 +24,19 @@ from .render import RENDERABLES, homset_payload, homset_text, json_chunks
 from .verify import SUITES, report_lines, reports_payload, run_suite
 
 
-def _emit(chunks: Iterable[str], out: Path | None, filename: str) -> None:
-    """Write the chunks in order, never joined, to stdout or to out/filename (UTF-8)."""
-    if out is None:
+def _write(args: argparse.Namespace, stem: str, payload_fn, lines_fn, *fn_args) -> None:
+    """Write `payload_fn(*fn_args)` as JSON under --format json, else each
+    line of `lines_fn(*fn_args)`, in chunks never joined, to stdout or to
+    --out/stem.json|txt|dot, after --format (UTF-8)."""
+    if args.format == "json":
+        chunks = json_chunks(payload_fn(*fn_args))
+    else:
+        chunks = (line + "\n" for line in lines_fn(*fn_args))
+    if args.out is None:
         sys.stdout.writelines(chunks)
         return
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / filename
+    args.out.mkdir(parents=True, exist_ok=True)
+    target = args.out / f"{stem}.{'txt' if args.format == 'text' else args.format}"
     with target.open("w", encoding="utf-8") as fh:
         fh.writelines(chunks)
     print(target)
@@ -55,43 +60,22 @@ def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
 
 def cmd_homs(args: argparse.Namespace) -> int:
     homset, method = _homs(args.n, args.variant)
-    if args.format == "json":
-        chunks = json_chunks(homset_payload(homset, args.variant, method))
-        ext = "json"
-    else:
-        chunks = (line + "\n" for line in homset_text(homset, args.variant, method))
-        ext = "txt"
-    _emit(chunks, args.out, f"homs_n{args.n}_{args.variant}.{ext}")
+    _write(args, f"homs_n{args.n}_{args.variant}", homset_payload, homset_text,
+           homset, args.variant, method)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, args.n)
-    if args.format == "json":
-        chunks = json_chunks(reports_payload(reports))
-        ext = "json"
-    else:
-        chunks = (line + "\n" for line in report_lines(reports))
-        ext = "txt"
-    _emit(chunks, args.out, f"verify_{args.suite}.{ext}")
+    _write(args, f"verify_{args.suite}", reports_payload, report_lines, reports)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     payload_fn, dot_fn, needs_n = RENDERABLES[args.target]
-    stem = args.target.replace("-", "_")
-    if needs_n:
-        payload_args = (args.n,)
-        stem = f"{stem}_n{args.n}"
-    else:
-        payload_args = ()
-    if args.format == "dot":
-        chunks = (line + "\n" for line in dot_fn(*payload_args))
-        ext = "dot"
-    else:
-        chunks = json_chunks(payload_fn(*payload_args))
-        ext = "json"
-    _emit(chunks, args.out, f"{stem}.{ext}")
+    fn_args = (args.n,) if needs_n else ()
+    stem = args.target.replace("-", "_") + (f"_n{args.n}" if needs_n else "")
+    _write(args, stem, payload_fn, dot_fn, *fn_args)
     return 0
 
 

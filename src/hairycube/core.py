@@ -7,6 +7,8 @@ pulled back along the embedding of S into 2 x Z_2.  An operation table on
 a power of S (`TritTable`) is stored as two bit planes over its canonical
 argument positions, so pointwise meet, join, bar and order are integer
 operations; the `tuple_*` helpers do the same on plain entry tuples.
+`order_masks` and `mask_codes` turn joined entry codes into both planes in
+one int and back, many tables or points at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache, total_ordering
 from itertools import product
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 class Element(IntEnum):
@@ -125,17 +127,31 @@ def planes(codes) -> tuple[int, int]:
     return int(bits.translate(_GE_H_BIT), 2), int(bits.translate(_GE_1_BIT), 2)
 
 
-@lru_cache(maxsize=None)
-def _point_masks(k: int) -> dict[tuple[Element, ...], int]:
-    """Each point of S^k as its two planes side by side, ge_h above ge_1, so
-    componentwise meet and join are `&` and `|`; the one point of S^0, the
-    empty tuple, has no planes and reads 0."""
-    return {p: ge_h << k | ge_1 for p in all_tuples(k)
-            for ge_h, ge_1 in [planes(p) if k else (0, 0)]}
+def order_masks(blob: bytes, width: int) -> list[int]:
+    """The `TritTable.order_mask` of each run of width entry codes joined in
+    blob (ge_h above ge_1, bit i of a plane entry i of the run), read in one
+    pass.  On a point of S^k, width k, `&` and `|` are meet and join."""
+    # Reversed, a run's codes go from its last entry down, so its ge_h bits
+    # and then its ge_1 bits, read as one binary number, are its mask.
+    rev = blob[::-1]
+    ge_h, ge_1 = rev.translate(_GE_H_BIT), rev.translate(_GE_1_BIT)
+    return [int(ge_h[i:i + width] + ge_1[i:i + width], 2) for i in range(0, len(rev), width)][::-1]
+
+
+def mask_codes(masks: Collection[int], width: int) -> list[bytes]:
+    """Each order mask's width entry codes (`TritTable._codes` on many
+    tables), written in one pass in blocks of `step` bits: read as hex, bit
+    i of a block is its nibble i, and ge_h added onto ge_1 is entry i's code."""
+    step = 8 * -(-2 * width // 8)
+    whole = int.from_bytes(b"".join([m.to_bytes(step // 8, "little") for m in masks]), "little")
+    whole = int(format(whole, "b"), 16)
+    codes = format(whole + (whole >> 4 * width), f"0{len(masks) * step}x")[::-1]
+    codes = codes.encode().translate(_HEX_CODES)
+    return [codes[i:i + width] for i in range(0, len(masks) * step, step)]
 
 
 def _constant_masks(k: int) -> tuple[int, int, int]:
-    """The `_point_masks` of the constant points 0, h and 1 of S^k."""
+    """The order masks of the constant points 0, h and 1 of S^k."""
     full = (1 << k) - 1
     return 0, full << k, full << k | full
 
@@ -180,12 +196,12 @@ class TritTable(Frozen):
     """Total map S^arity -> S, built from its 3^arity entries in canonical
     argument order and held as two bit planes over those positions: bit i of
     `ge_h` is set when entry i is h or 1, bit i of `ge_1` when it is 1.
-    `entries` and `str()` are memoised views, decoded one hex nibble per
-    entry; order is lexicographic on (arity, entries).
+    `entries` and `str()` are views decoded one hex nibble per entry, and
+    `str()` is memoised; order is lexicographic on (arity, entries).
     Equality and hash read (arity, ge_h, ge_1) directly, being the hottest
     calls on tables (set and dict lookups)."""
 
-    __slots__ = ("arity", "ge_h", "ge_1", "_entries", "_text")
+    __slots__ = ("arity", "ge_h", "ge_1", "_text")
 
     def __init__(self, entries: Iterable[int]) -> None:
         codes = bytes(entries)
@@ -201,7 +217,6 @@ class TritTable(Frozen):
         set_slot(self, "arity", arity)
         set_slot(self, "ge_h", ge_h)
         set_slot(self, "ge_1", ge_1)
-        set_slot(self, "_entries", None)
         set_slot(self, "_text", None)
 
     def __eq__(self, other) -> bool:
@@ -244,9 +259,7 @@ class TritTable(Frozen):
 
     @property
     def entries(self) -> tuple[Element, ...]:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(map(ELEMENTS.__getitem__, self._codes())))
-        return self._entries
+        return tuple(map(ELEMENTS.__getitem__, self._codes()))
 
     def __str__(self) -> str:
         if self._text is None:

@@ -16,8 +16,8 @@ from itertools import chain, compress
 from operator import add
 from typing import NamedTuple
 
-from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, planes, tuple_index
-from .core import _constant_masks, _point_masks
+from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, order_masks, tuple_index
+from .core import _constant_masks
 from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import _ABSENT, _CODES, _PRESENT, _broken, _columns, _search
 from .homsets import (
@@ -163,13 +163,12 @@ def _algebra_homs(points: tuple[tuple[Element, ...], ...]) -> tuple[bytes, ...]:
     if not points or len(set(map(len, points))) != 1:
         raise ValueError("carrier must be a nonempty set of points of one width")
     k = len(points[0])
-    # A point's two planes side by side, so & and | are meet and join; the
-    # one point of S^0, the empty tuple, has no planes to read.
-    masks = [ge_h << k | ge_1 for ge_h, ge_1 in map(planes, points)] if k else [0]
+    # the one point of S^0, the empty tuple, has no planes to read
+    masks = order_masks(bytes(chain.from_iterable(points)), k) if k else [0]
     known = set(masks)
     if any(not known.issuperset([a & b for b in masks] + [a | b for b in masks]) for a in masks):
         raise ValueError("carrier is not closed under componentwise meet and join")
-    if any((c,) * k not in points for c in ELEMENTS):
+    if not known.issuperset(_constant_masks(k)):
         raise ValueError("carrier does not contain the constant tuples")
     order = FinitePoset.from_masks(points, masks)
     ups = {j: bytes(order.down_mask(i) >> j & 1 for i in range(order.n))
@@ -390,12 +389,12 @@ class EvaluationReport(NamedTuple):
 
 def _keeps_meet_join_constants(carrier, evaluations: list[bytes]) -> bool:
     """Does the map carrier[i] |-> evaluations[i] keep componentwise meet,
-    join and the constants?  Points and evaluations are read as plane masks,
-    ge_h above ge_1 (`_point_masks` for the points), where meet and join are
-    `&` and `|` on both sides; carrier must be a subuniverse."""
+    join and the constants?  Points and evaluations are read as `order_masks`,
+    where meet and join are `&` and `|` on both sides; carrier must be a
+    subuniverse."""
     k, d = len(carrier[0]), len(evaluations[0])
-    points = map(_point_masks(k).__getitem__, carrier)
-    at = {a: ge_h << d | ge_1 for a, (ge_h, ge_1) in zip(points, map(planes, evaluations))}
+    points = order_masks(bytes(chain.from_iterable(carrier)), k)
+    at = dict(zip(points, order_masks(b"".join(evaluations), d)))
     return all(at[c] == e for c, e in zip(_constant_masks(k), _constant_masks(d))) and all(
         at[a & b] == at[a] & at[b] and at[a | b] == at[a] | at[b] for a in at for b in at)
 

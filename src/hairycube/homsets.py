@@ -8,10 +8,11 @@ carrier -> S against the relational (and partial-operation) constraints,
 the three.
 
 Every map is held as `bytes`: byte i is the code 0, 1 or 2 of its value at
-carrier index i, the string `core.planes` reads and `TritTable._codes`
-writes.  Bytes sort like code tuples, which keeps hom-sets in canonical
-order, and the cyclic collector does not track them.  Tables and text are
-made from them only at the edges (`HomSet.tables`, output).
+carrier index i, the string that `core` reads (`planes`, `order_masks`)
+and writes (`TritTable._codes`, `mask_codes`).  Bytes sort like code
+tuples, which keeps hom-sets in canonical order, and the cyclic collector
+does not track them.  Tables and text are made from them only at the edges
+(`HomSet.tables`, output).
 
 The clone closes in three stages on one int per table, which reach the
 whole clone (`_clone_entries`); `clone_closure` keeps one `HomSet` per arity.
@@ -33,8 +34,7 @@ from itertools import chain, compress, islice
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import _GE_1_BIT, _GE_H_BIT, _HEX_CODES, ELEMENTS, Element, Frozen, TritTable
-from .core import all_tuples, planes
+from .core import ELEMENTS, Element, Frozen, TritTable, all_tuples, mask_codes, order_masks, planes
 from .posets import CapExceededError, FinitePoset, _bits, _flags
 from .relations import R1, R2, R3, BinaryRelation, PartialOp
 
@@ -273,10 +273,10 @@ class HomSet(Frozen):
     """Canonically ordered morphisms of a structured space into S, each map
     as `bytes` whose byte i is the code (0, 1, 2) of its value at point i."""
 
-    __slots__ = ("source", "maps", "_tables")
+    __slots__ = ("source", "maps")
 
     def __init__(self, source: StructuredSpace, maps: tuple[bytes, ...]) -> None:
-        self._set(source, maps, None)
+        self._set(source, maps)
 
     def _key(self) -> tuple:
         return self.source, self.maps
@@ -298,21 +298,11 @@ class HomSet(Frozen):
     def tables(self) -> tuple[TritTable, ...]:
         if not self.source.is_full_power():
             raise ValueError("maps of a proper carrier are not n-ary tables")
-        if self._tables is None:
-            object.__setattr__(self, "_tables", tuple(
-                TritTable.from_planes(self.source.arity, *planes(m)) for m in self.maps))
-        return self._tables
+        return tuple(TritTable.from_planes(self.source.arity, *planes(m)) for m in self.maps)
 
     def order_masks(self) -> list[int]:
-        """Each map's `TritTable.order_mask` (ge_h above ge_1, bit i of a
-        plane entry i), read off all maps in one pass."""
-        width = self.source.size
-        # Reversed, a map's codes run from its last entry down, so its ge_h
-        # bits and then its ge_1 bits, read as one binary number, are its mask.
-        rev = b"".join(self.maps)[::-1]
-        ge_h, ge_1 = rev.translate(_GE_H_BIT), rev.translate(_GE_1_BIT)
-        return [int(ge_h[i:i + width] + ge_1[i:i + width], 2)
-                for i in range(0, len(rev), width)][::-1]
+        """Each map's `TritTable.order_mask`, read off all maps in one pass."""
+        return order_masks(b"".join(self.maps), self.source.size)
 
     def lattice(self) -> FinitePoset:
         """The tables under the pointwise order."""
@@ -405,14 +395,7 @@ def _clone_entries(n: int) -> tuple[bytes, ...]:
     elems = {0}  # the constant 0; low members first keeps the early passes small
     for b in irreducible:
         elems |= {a | b for a in elems}
-    # `TritTable._codes` on all tables, in blocks of `step` bits: read as hex,
-    # bit i of a block is its nibble i, and ge_h added onto ge_1 is entry i's code.
-    step = 8 * -(-2 * width // 8)
-    whole = int.from_bytes(b"".join([t.to_bytes(step // 8, "little") for t in elems]), "little")
-    whole = int(format(whole, "b"), 16)
-    codes = format(whole + (whole >> 4 * width), f"0{len(elems) * step}x")[::-1]
-    codes = codes.encode().translate(_HEX_CODES)
-    return tuple(sorted([codes[i:i + width] for i in range(0, len(codes), step)]))
+    return tuple(sorted(mask_codes(elems, width)))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ r3 u {(h,1)}).
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Union
 
 from .core import (
@@ -21,8 +21,8 @@ from .core import (
     ZERO,
     Frozen,
     all_tuples,
+    order_masks,
     _constant_masks,
-    _point_masks,
 )
 from .posets import FinitePoset
 
@@ -142,7 +142,7 @@ def is_subuniverse(subset: SubsetLike) -> bool:
     tuples (2 for a BinaryRelation) and at most 3.
 
     Requires the constant tuples and closure under componentwise meet,
-    join and bar, tested on the points' `_point_masks`: meet and join are
+    join and bar, tested on the points' `order_masks`: meet and join are
     `&` and `|`, and bar sets ge_h everywhere and ge_1 where the point is
     not 1.
     """
@@ -154,7 +154,7 @@ def is_subuniverse(subset: SubsetLike) -> bool:
         return False  # an empty subset lacks the constants at any k
     k = widths.pop()
     full = (1 << k) - 1
-    masks = set(map(_point_masks(k).__getitem__, tuples))
+    masks = set(order_masks(bytes(chain.from_iterable(tuples)), k))
     return masks.issuperset(_constant_masks(k)) and all(
         masks.issuperset([full << k | full & ~a] + [a & b for b in masks] + [a | b for b in masks])
         for a in masks)

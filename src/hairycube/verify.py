@@ -543,22 +543,14 @@ def suite_entailment(n_max: int | None = None) -> SuiteReport:
 
 
 def suite_evaluation(n_max: int | None = None) -> SuiteReport:
+    algebras = [(f"S{n}", f"from S^{n} onto its double dual", all_tuples(n)) for n in (1, 2)]
+    algebras += [(name, f"for the subalgebra {name}", rel.pairs())
+                 for rel in enumerate_subalgebras().elements for name in [canonical_name(rel)]]
     checks = []
-    for n in (1, 2):
-        rep = evaluation_map_check(all_tuples(n))
+    for name, what, carrier in algebras:
+        rep = evaluation_map_check(carrier)
         checks.append(
-            Check(f"evaluation-S{n}",
-                  f"evaluation is an isomorphism from S^{n} onto its double dual",
-                  rep.passed,
-                  {"carrier": rep.carrier_size, "dual": rep.dual_size,
-                   "double-dual": rep.double_dual_size})
-        )
-    for rel in enumerate_subalgebras().elements:
-        rep = evaluation_map_check(rel.pairs())
-        checks.append(
-            Check(f"evaluation-{canonical_name(rel)}",
-                  f"evaluation is an isomorphism for the subalgebra {canonical_name(rel)}",
-                  rep.passed,
+            Check(f"evaluation-{name}", f"evaluation is an isomorphism {what}", rep.passed,
                   {"carrier": rep.carrier_size, "dual": rep.dual_size,
                    "double-dual": rep.double_dual_size})
         )

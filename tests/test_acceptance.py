@@ -64,7 +64,6 @@ Z, O = ZERO, ONE
 
 def _clear_caches() -> None:
     core.all_tuples.cache_clear()
-    core._point_masks.cache_clear()
     homsets.clone_closure.cache_clear()
     cube.hairy_cube_recursive.cache_clear()
     cube.eta.cache_clear()

@@ -211,6 +211,27 @@ def test_out_directory_writes_files(tmp_path, capsys):
     assert (tmp_path / "chi_n1.json").exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["homs", "--n", "2", "--format", "json"], "homs_n2_relational.json"),
+    (["homs", "--variant", "strong"], "homs_n1_strong.txt"),
+    (["verify", "barops", "--format", "json"], "verify_barops.json"),
+    (["verify", "congruences"], "verify_congruences.txt"),
+    (["render", "hairy-cube", "--n", "2"], "hairy_cube_n2.json"),
+    (["render", "chi", "--n", "1", "--format", "dot"], "chi_n1.dot"),
+    (["render", "congruences"], "congruences.json"),
+    (["render", "subalgebras", "--format", "dot"], "subalgebras.dot"),
+])
+def test_out_writes_what_stdout_shows_to_one_named_file(argv, name, tmp_path, capsys):
+    """Each command and format: --out writes the bytes it prints without
+    --out to one file, named after the request, and prints that path."""
+    status = main(argv)
+    shown = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path)]) == status == 0
+    assert capsys.readouterr().out == f"{tmp_path / name}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_bytes() == shown.encode("utf-8")
+
+
 @pytest.mark.parametrize("argv", [
     ["render", "chi", "--n", "1"],
     ["verify", "barops"],

@@ -1,10 +1,10 @@
 """Element arithmetic and table plumbing."""
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hairycube.core import (
@@ -20,9 +20,10 @@ from hairycube.core import (
     join,
     meet,
     nu_term,
+    mask_codes,
+    order_masks,
     planes,
     _constant_masks,
-    _point_masks,
     semiring_add,
     tuple_bar,
     tuple_index,
@@ -132,19 +133,48 @@ def test_all_tuples_canonical_order():
         assert tuple_index(t) == i
 
 
-def test_point_masks_are_built_once():
-    for k in range(4):
-        assert _point_masks(k) is _point_masks(k)
-        assert list(_point_masks(k)) == list(all_tuples(k))
-    assert _point_masks(0) == {(): 0}
-    for k in range(4):
-        assert _constant_masks(k) == tuple(_point_masks(k)[(c,) * k] for c in ELEMENTS)
+def test_order_masks_of_points_are_their_planes():
+    """Read off all of S^k in one pass, each point's mask is its two planes
+    side by side, ge_h above ge_1, so `&` and `|` are componentwise min and
+    max; the constant points are `_constant_masks`."""
     for k in (1, 2, 3):
-        for p, m in _point_masks(k).items():
-            ge_h, ge_1 = planes(p)
-            assert m == ge_h << k | ge_1
-            assert all(_point_masks(k)[tuple(map(f, p, q))] == g(m, _point_masks(k)[q])
-                       for q in all_tuples(k) for f, g in ((min, int.__and__), (max, int.__or__)))
+        points = all_tuples(k)
+        masks = order_masks(bytes(chain.from_iterable(points)), k)
+        assert masks == [ge_h << k | ge_1 for ge_h, ge_1 in map(planes, points)]
+        at = dict(zip(points, masks))
+        assert _constant_masks(k) == tuple(at[(c,) * k] for c in ELEMENTS)
+        for p in points:
+            assert all(at[tuple(map(f, p, q))] == g(at[p], at[q])
+                       for q in points for f, g in ((min, int.__and__), (max, int.__or__)))
+
+
+@st.composite
+def code_runs(draw):
+    """A width (the powers of 3 that tables have, and any other up to 30,
+    so 2 * width is not always a multiple of 8) and 0 to 12 runs of that
+    many entry codes."""
+    width = draw(st.sampled_from([1, 3, 9, 27]) | st.integers(min_value=1, max_value=30))
+    run = st.lists(st.integers(min_value=0, max_value=2), min_size=width, max_size=width)
+    return width, draw(st.lists(run.map(bytes), max_size=12))
+
+
+@given(code_runs())
+@example((4, []))  # an empty blob
+@example((3, [b"\0\1\2"]))
+def test_order_masks_and_mask_codes_match_the_tables(case):
+    """The one-pass reader and writer against a run at a time: `planes`
+    side by side, and each code read off the mask's two bits; at a width
+    3^n, against `TritTable.order_mask` and `TritTable._codes`."""
+    width, runs = case
+    masks = order_masks(b"".join(runs), width)
+    assert masks == [planes(r)[0] << width | planes(r)[1] for r in runs]
+    assert mask_codes(masks, width) == runs
+    assert runs == [bytes((m >> width + i & 1) + (m >> i & 1) for i in range(width))
+                    for m in masks]
+    arity = {1: 0, 3: 1, 9: 2, 27: 3}.get(width)
+    if arity is not None:
+        assert masks == [TritTable(r).order_mask for r in runs]
+        assert runs == [TritTable.from_order_mask(arity, m)._codes() for m in masks]
 
 
 def test_table_construction_and_call():
@@ -249,7 +279,7 @@ def test_table_planes_match_tuple_oracle(case):
         assert str(t) == "".join(str(e) for e in x) == "".join(str(e) for e in t.entries)
         assert TritTable.from_string(str(t)) == t
     c = a.meet(b)
-    assert c.entries is c.entries and str(c) is str(c)  # views are memoised
+    assert c.entries == c.entries and str(c) is str(c)  # str() is memoised
     assert c.entries == tuple_meet(x, y)
     assert a.join(b).entries == tuple_join(x, y)
     assert a.bar().entries == tuple_bar(x)

@@ -28,6 +28,8 @@ from hairycube.cube import (
 from hairycube.homsets import CapExceededError
 from hairycube.posets import FinitePoset, _bits
 
+from test_acceptance import _clear_caches
+
 UNARY_JI = ("0hh", "0h1", "hhh", "11h")
 UNARY_JI_COVERS = {("0hh", "0h1"), ("0hh", "hhh"), ("hhh", "11h")}
 
@@ -68,10 +70,19 @@ def test_extracted_cube_is_the_join_irreducibles_of_the_lattice(n):
     assert ext._up == ref._up
 
 
-def test_verify_builds_no_arity_3_tables():
-    homsets.clone_closure.cache_clear()
+def test_verify_builds_no_arity_3_tables(monkeypatch):
+    """`verify all` reads the clone's order masks, never its 775 tables;
+    the caches are cleared first, so no earlier test has built them for it."""
+    arities, tables = [], homsets.HomSet.tables
+
+    def spy(self):
+        arities.append(self.source.arity)
+        return tables(self)
+
+    monkeypatch.setattr(homsets.HomSet, "tables", spy)
+    _clear_caches()
     verify.run_suite("all")
-    assert homsets.clone_closure(3)._tables is None
+    assert arities and 3 not in arities
 
 
 def test_eta_is_computed_once_per_table():

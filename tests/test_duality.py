@@ -1,6 +1,7 @@
 """Partial operations, witnesses, entailment, evaluation, persistence."""
 
 import time
+import tracemalloc
 from collections import Counter
 from itertools import chain, combinations, product
 
@@ -126,6 +127,20 @@ def test_variants_agree_on_homsets():
 def test_algebra_homs_of_s_is_identity():
     homs = algebra_homs(all_tuples(1))
     assert homs == (bytes((ZERO, H, ONE)),)
+
+
+def test_algebra_homs_of_the_constants_of_a_large_power():
+    """The three constant points of S^12 are a copy of S: one hom, found
+    from the three points alone, nothing built over the 3^12 points of S^12."""
+    points = tuple((c,) * 12 for c in ELEMENTS)
+    tracemalloc.start()
+    try:
+        homs = duality._algebra_homs.__wrapped__(points)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert homs == algebra_homs(points) == (b"\0\1\2",)
+    assert peak < 256 * 1024
 
 
 def test_total_homs_are_projections():

@@ -3,6 +3,7 @@ reads no environment, so its output depends on its arguments alone; importing
 the command line stays cheap; the value classes compare by value and are
 frozen."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -67,6 +68,20 @@ def test_text_requests_do_not_load_json():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "[]\n")
     assert run.stdout.startswith("hom-set: arity 1")
+
+
+def test_only_core_reads_the_plane_translations():
+    """The byte translations between entry codes and planes have one home:
+    every other module reads and writes planes through core's functions."""
+    names = {"_GE_H_BIT", "_GE_1_BIT", "_HEX_CODES"}
+    users = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and names & {alias.name for alias in node.names}
+        or isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert users == []
 
 
 def _diagonal_op(name: str) -> PartialOp:

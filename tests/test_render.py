@@ -1,6 +1,7 @@
 """`render.dumps` and the chunks the command line writes, against the json
 module they replace: byte for byte."""
 
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube.cli import _emit, main
+from hairycube.cli import _write, main
 from hairycube.duality import VARIANTS, homs_for_variant
 from hairycube.render import RENDERABLES, dumps, homset_payload, json_chunks
 from hairycube.verify import reports_payload, run_suite
@@ -31,16 +32,17 @@ VALUES = st.recursive(
 )
 
 
-def _emitted(chunks) -> str:
+def _emitted(value) -> str:
+    """What the command line's writer prints for value under --format json."""
     with redirect_stdout(io.StringIO()) as stdout:
-        _emit(chunks, None, "")
+        _write(argparse.Namespace(format="json", out=None), "", lambda: value, None)
     return stdout.getvalue()
 
 
 @given(VALUES)
 def test_dumps_matches_json_on_drawn_values(value):
     chunks = json_chunks(value)
-    assert dumps(value) == "".join(chunks) == _emitted(chunks) == _json(value)
+    assert dumps(value) == "".join(chunks) == _emitted(value) == _json(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -49,7 +51,7 @@ def test_dumps_matches_json_on_drawn_values(value):
 ])
 def test_dumps_matches_json_on_edge_cases(value):
     chunks = json_chunks(value)
-    assert dumps(value) == "".join(chunks) == _emitted(chunks) == _json(value)
+    assert dumps(value) == "".join(chunks) == _emitted(value) == _json(value)
 
 
 # the targets and sizes scripts/render_figures.py writes
