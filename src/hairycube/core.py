@@ -197,7 +197,11 @@ class TritTable(Frozen):
     argument order and held as two bit planes over those positions: bit i of
     `ge_h` is set when entry i is h or 1, bit i of `ge_1` when it is 1.
     `entries` and `str()` are views decoded one hex nibble per entry, and
-    `str()` is memoised; order is lexicographic on (arity, entries).
+    `str()` is memoised.  The memo is also filled where the text is known
+    without decoding: `from_string` and `constant` keep the text they are
+    built from, `meet_h` maps 1 to h in its table's memo, and
+    `homsets.assemble` joins its slices' memos, so the tables the hairy-cube
+    glue builds never decode theirs.  Order is lexicographic on (arity, entries).
     Equality and hash read (arity, ge_h, ge_1) directly, being the hottest
     calls on tables (set and dict lookups)."""
 
@@ -212,12 +216,12 @@ class TritTable(Frozen):
             raise ValueError(f"{len(codes)} entries is not a power of 3")
         self._fill(arity, *planes(codes))
 
-    def _fill(self, arity: int, ge_h: int, ge_1: int) -> None:
+    def _fill(self, arity: int, ge_h: int, ge_1: int, text: str | None = None) -> None:
         set_slot = object.__setattr__
         set_slot(self, "arity", arity)
         set_slot(self, "ge_h", ge_h)
         set_slot(self, "ge_1", ge_1)
-        set_slot(self, "_text", None)
+        set_slot(self, "_text", text)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -228,16 +232,18 @@ class TritTable(Frozen):
         return hash((self.arity, self.ge_h, self.ge_1))
 
     @classmethod
-    def from_planes(cls, arity: int, ge_h: int, ge_1: int) -> "TritTable":
-        """The table with these planes; ge_1 must lie inside ge_h."""
+    def from_planes(cls, arity: int, ge_h: int, ge_1: int, text: str | None = None) -> "TritTable":
+        """The table with these planes; ge_1 must lie inside ge_h.  text, when
+        given, is its `str()`, taken as the memo unchecked."""
         table = object.__new__(cls)
-        table._fill(arity, ge_h, ge_1)
+        table._fill(arity, ge_h, ge_1, text)
         return table
 
     @classmethod
     def constant(cls, arity: int, value: Element) -> "TritTable":
         full = (1 << 3 ** arity) - 1
-        return cls.from_planes(arity, full if value >= H else 0, full if value == ONE else 0)
+        return cls.from_planes(arity, full if value >= H else 0, full if value == ONE else 0,
+                               "0h1"[value] * 3 ** arity)
 
     @classmethod
     def projection(cls, arity: int, i: int) -> "TritTable":
@@ -248,7 +254,9 @@ class TritTable(Frozen):
 
     @classmethod
     def from_string(cls, text: str) -> "TritTable":
-        return cls(map(Element.from_char, text))
+        table = cls(map(Element.from_char, text))
+        object.__setattr__(table, "_text", str(text))
+        return table
 
     def _codes(self) -> bytes:
         """One byte per entry, its code 0, 1 or 2, in canonical order: read as
@@ -298,7 +306,8 @@ class TritTable(Frozen):
         return TritTable.from_planes(self.arity, full, full & ~self.ge_1)
 
     def meet_h(self) -> "TritTable":
-        return TritTable.from_planes(self.arity, self.ge_h, 0)
+        text = None if self._text is None else self._text.replace("1", "h")
+        return TritTable.from_planes(self.arity, self.ge_h, 0, text)
 
     def leq(self, other: "TritTable") -> bool:
         self._same_arity(other)

@@ -136,10 +136,13 @@ def _glue(prev: FinitePoset) -> FinitePoset:
     m, low = prev.n, sum(1 << i for i, p in enumerate(ps) if not p.ge_1)
     down = [prev.down_mask(i) for i in range(m)]
     down += [d << m | d & low for d in down]
+    # rows and bits both move to the sorted places: the bit columns of the
+    # moved rows, taken in the sorted order, are the up rows, and their
+    # transpose is the down rows
     order = sorted(range(2 * m), key=glued.__getitem__)
-    bit = {old: 1 << new for new, old in enumerate(order)}
-    return FinitePoset([glued[i] for i in order],
-                       [sum(bit[j] for j in _bits(down[i])) for i in order])
+    columns = _transpose([down[i] for i in order], 2 * m)
+    up = [columns[i] for i in order]
+    return FinitePoset([glued[i] for i in order], _transpose(up, 2 * m), up)
 
 
 def _element_table(x) -> TritTable:

@@ -421,14 +421,18 @@ def slice_first(table: TritTable, a: Element) -> TritTable:
 
 
 def assemble(s0: TritTable, sh: TritTable, s1: TritTable) -> TritTable:
-    """Inverse of slicing: glue three (n-1)-ary tables along the first argument."""
+    """Inverse of slicing: glue three (n-1)-ary tables along the first
+    argument.  When all three slices hold their text, the glued table's text
+    is theirs joined, so its `str()` decodes nothing."""
     if not s0.arity == sh.arity == s1.arity:
         raise ValueError("slices must share an arity")
     block = 3 ** s0.arity
+    texts = (s0._text, sh._text, s1._text)
     return TritTable.from_planes(
         s0.arity + 1,
         s0.ge_h | sh.ge_h << block | s1.ge_h << 2 * block,
         s0.ge_1 | sh.ge_1 << block | s1.ge_1 << 2 * block,
+        None if None in texts else "".join(texts),
     )
 
 

@@ -24,20 +24,28 @@ SCHEMA = 1
 
 def json_chunks(payload: dict) -> list[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"` in pieces of at
-    most one escaped string each, escaping each distinct string once (json's
-    indenting encoder escapes it at every occurrence); non-string keys raise TypeError.
-    `json` is imported here, so text requests do not load it."""
+    most one string each, escaping each distinct string once (json's indenting
+    encoder escapes it at every occurrence).  A string that needs no escape
+    goes out as itself between two quote chunks, never copied, so the
+    document's table texts are the tables' own `str()` memos.  Non-string keys
+    raise TypeError.  `json` is imported here, so text requests do not load it."""
     import json
 
-    out, escape = [], lru_cache(maxsize=None)(json.encoder.encode_basestring)
+    out, encode = [], json.encoder.encode_basestring
+
+    @lru_cache(maxsize=None)
+    def quoted(text: str) -> tuple[str, ...]:
+        escaped = encode(text)
+        # each escape lengthens the text, so equal lengths mean none was made
+        return ('"', text, '"') if len(escaped) == len(text) + 2 else (escaped,)
 
     def emit(value, indent: str) -> None:
         if isinstance(value, str):
-            out.append(escape(value))
+            out.extend(quoted(value))
         elif isinstance(value, dict) and value:
             inner, sep = indent + "  ", "{"
             for key, item in value.items():
-                out.append(f"{sep}{inner}{escape(key)}: ")
+                out.append(f"{sep}{inner}{''.join(quoted(key))}: ")
                 emit(item, inner)
                 sep = ","
             out.append(indent + "}")
@@ -62,7 +70,8 @@ def dumps(payload: dict) -> str:
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    """label as a DOT string: backslashes first, so a quote's escape stays whole."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _poset_dot(name: str, poset: FinitePoset, labels: list[str], filled=()) -> list[str]:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -155,6 +156,16 @@ def test_largest_render_is_written_in_small_chunks(monkeypatch):
     assert max(stdout.sizes) <= 64 * 1024
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
     assert digest == PINNED["render hairy-cube --n 7 --format json"]
+
+
+def test_largest_render_leaves_in_few_16_kb_writes(monkeypatch):
+    # per-chunk writes would make thousands; joined, all but the last are full
+    stdout = WriteSizes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["render", "hairy-cube", "--n", "7", "--format", "json"]) == 0
+    assert sum(stdout.sizes) == 3_125_873
+    assert max(stdout.sizes) <= 16 * 1024
+    assert len(stdout.sizes) <= math.ceil(3_125_873 / 16_384) + 1
 
 
 def test_negative_arity_exit_code(capsys):

@@ -24,6 +24,7 @@ from hairycube.core import (
     order_masks,
     planes,
     _constant_masks,
+    codes_text,
     semiring_add,
     tuple_bar,
     tuple_index,
@@ -336,6 +337,43 @@ def test_wide_table_decode_matches_calls(n):
         assert str(t) == "".join(map(str, calls))
     for v in ELEMENTS:
         assert TritTable.constant(n, v).entries == (v,) * width
+
+
+def _decoded(t: TritTable) -> str:
+    """The text of t's planes, read past its memo."""
+    return codes_text(t._codes())
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_built_tables_keep_the_text_they_are_built_from(n):
+    for v in ELEMENTS:
+        c = TritTable.constant(n, v)
+        assert c._text is not None and str(c) == _decoded(c) == str(v) * 3 ** n
+    text = "".join(random.Random(n).choice("0h1") for _ in range(3 ** n))
+    t = TritTable.from_string(text)
+    assert str(t) is text and _decoded(t) == text
+
+
+# Three slices of one arity, each built from its text (memo kept) or from
+# its entries (no memo until str() is called).
+slice_triples = st.integers(min_value=0, max_value=3).flatmap(
+    lambda n: st.tuples(*[st.tuples(entry_tuples(n), st.booleans())] * 3))
+
+
+@given(slice_triples)
+def test_assemble_and_meet_h_memos_are_the_plane_decode(triple):
+    slices = [TritTable.from_string("".join(map(str, x))) if kept else TritTable(x)
+              for x, kept in triple]
+    glued = assemble(*slices)
+    assert (glued._text is not None) == all(kept for _, kept in triple)
+    for t in (glued, *slices):
+        h = t.meet_h()
+        assert (h._text is None) == (t._text is None)
+        for u in (t, h):
+            if u._text is not None:
+                assert u._text == _decoded(u)
+    assert assemble(*(s.meet_h() for s in slices)) == glued.meet_h()
+    assert str(glued) == _decoded(glued) == "".join(map(str, slices))
 
 
 @given(st.lists(

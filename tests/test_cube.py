@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hairycube import homsets, verify
-from hairycube.core import ZERO, H, TritTable
+from hairycube.core import ZERO, H, TritTable, codes_text
 from hairycube.cube import (
     JIElement,
     PartiallyStoneSpaceFinite,
@@ -106,6 +106,15 @@ def _assert_same_order(poset, oracle):
 def test_glued_order_matches_the_plane_masks(n):
     cube = hairy_cube_recursive(n)
     _assert_same_order(cube, _mask_order(cube.elements))
+
+
+def test_cube_tables_carry_their_text_through_the_glue():
+    # rebuilt from the base case, so no str() elsewhere has filled a memo
+    _clear_caches()
+    for n in range(1, 8):
+        for e in hairy_cube_recursive(n).elements:
+            assert e.table._text is not None
+            assert str(e.table) == codes_text(e.table._codes())
 
 
 # Any nonzero binary tables: the slice rule does not assume the hairy shape.

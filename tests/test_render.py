@@ -10,9 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hairycube.cli import _write, main
+from hairycube.cli import WRITE_BYTES, _write, _write_joined, main
 from hairycube.duality import VARIANTS, homs_for_variant
-from hairycube.render import RENDERABLES, dumps, homset_payload, json_chunks
+from hairycube.posets import FinitePoset
+from hairycube.render import (
+    RENDERABLES,
+    _poset_dot,
+    _quote,
+    dumps,
+    hairy_cube_payload,
+    homset_payload,
+    json_chunks,
+)
 from hairycube.verify import reports_payload, run_suite
 
 
@@ -20,8 +29,15 @@ def _json(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 
-# quotes, backslashes, control characters and non-ASCII, and any text at all
-TEXT = st.text(st.sampled_from('ab"\\\x00\x07\x1f\x7f\n\t∧é '), max_size=6) | st.text(max_size=6)
+# quotes, backslashes, control characters and non-ASCII, and any text at all;
+# long texts too, with and without characters to escape, since a text that
+# needs none is emitted as itself
+TEXT = (
+    st.text(st.sampled_from('ab"\\\x00\x07\x1f\x7f\n\t∧é '), max_size=6)
+    | st.text(max_size=6)
+    | st.text(st.sampled_from("0h1∧é "), min_size=7, max_size=3000)
+    | st.text(st.sampled_from('0h1∧é "\\\x00\x1f\n'), min_size=7, max_size=300)
+)
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
 VALUES = st.recursive(
     SCALARS,
@@ -52,6 +68,49 @@ def test_dumps_matches_json_on_drawn_values(value):
 def test_dumps_matches_json_on_edge_cases(value):
     chunks = json_chunks(value)
     assert dumps(value) == "".join(chunks) == _emitted(value) == _json(value)
+
+
+def test_plain_strings_are_emitted_uncopied():
+    plain, escaped = "0h1" * 729, 'say "∧"' * 100
+    chunks = json_chunks({"a": plain, "b": [plain, escaped], "c": escaped})
+    assert sum(c is plain for c in chunks) == 2
+    assert not any(c is escaped for c in chunks)
+    # the cube's table texts leave as the tables' own str() memos
+    payload = hairy_cube_payload(4)
+    emitted = {id(c) for c in json_chunks(payload)}
+    assert all(id(node["table"]) in emitted for node in payload["nodes"])
+
+
+# chunk texts with characters of one to four UTF-8 bytes, some longer than a write
+CHUNKS = st.lists(
+    st.text(st.sampled_from("a0\n∧é\U0001d400"), max_size=40)
+    | st.tuples(st.text(st.sampled_from("ah∧\U0001d400"), min_size=1, max_size=8),
+                st.integers(WRITE_BYTES // 8, WRITE_BYTES)).map(lambda c: (c[0] * c[1])[:c[1]])
+    | st.just("1" * (3 * WRITE_BYTES + 1)),
+    max_size=12,
+)
+
+
+@given(CHUNKS)
+def test_writes_are_full_pieces_of_the_joined_chunks(chunks):
+    writes = []
+    _write_joined(writes.append, chunks)
+    assert "".join(writes) == "".join(chunks)
+    sizes = [len(w.encode("utf-8")) for w in writes]
+    assert all(0 < size <= WRITE_BYTES for size in sizes)
+    # each write but the last is full, but for a character cut off its end
+    assert all(size > WRITE_BYTES - 4 for size in sizes[:-1])
+
+
+def test_dot_labels_escape_backslashes_before_quotes():
+    assert _quote("p1∧h") == '"p1∧h"'
+    assert _quote('say "hi"') == r'"say \"hi\""'
+    # a trailing backslash would otherwise escape the closing quote
+    assert _quote("ends\\") == r'"ends\\"'
+    assert _quote('\\"') == r'"\\\""'
+    poset = FinitePoset.from_masks(["x", "y"], [1, 3])
+    lines = _poset_dot("t", poset, ["a\\", 'b"'])
+    assert r'  n0 [label="a\\"];' in lines and r'  n1 [label="b\""];' in lines
 
 
 # the targets and sizes scripts/render_figures.py writes
