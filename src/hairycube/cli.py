@@ -37,11 +37,15 @@ def _write_joined(write, chunks) -> None:
     for chunk in chunks:
         pending.append(chunk)
         size += len(chunk)
+        if len(pending) == 64:  # few small objects held: they weigh more than their text
+            pending[:] = ["".join(pending)]
         if size >= WRITE_BYTES:  # at least as many bytes as characters
             text, start = "".join(pending), 0
+            pending.clear()  # freed before the pieces are cut
             while len(text) - start >= WRITE_BYTES:
                 start += _write_piece(write, text, start)
-            pending, size = [text[start:]], len(text) - start
+            pending.append(text[start:])
+            size = len(text) - start
     text, start = "".join(pending), 0
     while start < len(text):
         start += _write_piece(write, text, start)

@@ -81,14 +81,16 @@ def test_plain_strings_are_emitted_uncopied():
     assert all(id(node["table"]) in emitted for node in payload["nodes"])
 
 
-# chunk texts with characters of one to four UTF-8 bytes, some longer than a write
+# chunk texts with characters of one to four UTF-8 bytes, some longer than a
+# write, and runs of hundreds of short ones
+SHORT = st.text(st.sampled_from("a0\n∧é\U0001d400"), max_size=40)
 CHUNKS = st.lists(
-    st.text(st.sampled_from("a0\n∧é\U0001d400"), max_size=40)
+    SHORT
     | st.tuples(st.text(st.sampled_from("ah∧\U0001d400"), min_size=1, max_size=8),
                 st.integers(WRITE_BYTES // 8, WRITE_BYTES)).map(lambda c: (c[0] * c[1])[:c[1]])
     | st.just("1" * (3 * WRITE_BYTES + 1)),
     max_size=12,
-)
+) | st.lists(SHORT, min_size=60, max_size=1500)
 
 
 @given(CHUNKS)
