@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .duality import VARIANTS, homs_for_variant, variant
@@ -33,37 +34,29 @@ WRITE_BYTES = 16 * 1024
 def _write_joined(write, chunks) -> None:
     """Pass the chunks to write joined into pieces of at most WRITE_BYTES
     bytes of UTF-8, each full but the last, cut where a character starts."""
-    pending, size = [], 0
-    for chunk in chunks:
-        pending.append(chunk)
-        size += len(chunk)
-        if len(pending) == 64:  # few small objects held: they weigh more than their text
-            pending[:] = ["".join(pending)]
-        if size >= WRITE_BYTES:  # at least as many bytes as characters
-            text, start = "".join(pending), 0
-            pending.clear()  # freed before the pieces are cut
-            while len(text) - start >= WRITE_BYTES:
-                start += _write_piece(write, text, start)
-            pending.append(text[start:])
-            size = len(text) - start
-    text, start = "".join(pending), 0
-    while start < len(text):
-        start += _write_piece(write, text, start)
+    it, text = iter(chunks), ""
+    while batch := list(islice(it, 64)):  # joined 64 at a time: few small objects held
+        text = "".join([text, *batch])  # the rest so far is freed here, not held on
+        text = _write_pieces(write, text, WRITE_BYTES)
+    _write_pieces(write, text, 1)
 
 
-def _write_piece(write, text: str, start: int) -> int:
-    """Write the longest piece of text from start that fits WRITE_BYTES and
-    return its length in characters."""
-    piece = text[start:start + WRITE_BYTES]
-    if not piece.isascii():
-        data = piece.encode("utf-8", "surrogatepass")
-        if len(data) > WRITE_BYTES:
-            cut = WRITE_BYTES
-            while data[cut] & 0xC0 == 0x80:  # inside a character's bytes
-                cut -= 1
-            piece = data[:cut].decode("utf-8", "surrogatepass")
-    write(piece)
-    return len(piece)
+def _write_pieces(write, text: str, keep: int) -> str:
+    """Write full pieces off the front of text while at least keep characters
+    are left, and return the rest."""
+    start = 0
+    while len(text) - start >= keep:
+        piece = text[start:start + WRITE_BYTES]
+        if not piece.isascii():
+            data = piece.encode("utf-8", "surrogatepass")
+            if len(data) > WRITE_BYTES:
+                cut = WRITE_BYTES
+                while data[cut] & 0xC0 == 0x80:  # inside a character's bytes
+                    cut -= 1
+                piece = data[:cut].decode("utf-8", "surrogatepass")
+        write(piece)
+        start += len(piece)
+    return text[start:]
 
 
 def _write(args: argparse.Namespace, stem: str, payload_fn, lines_fn, *fn_args) -> None:
