@@ -29,7 +29,7 @@ from .homsets import (
     clone_closure,
     enumerate_homs_bruteforce,
 )
-from .posets import FinitePoset
+from .posets import FinitePoset, _flags, closed_sets
 from .relations import (
     R1,
     R2,
@@ -321,20 +321,6 @@ class EntailmentReport(NamedTuple):
         return not self.violations
 
 
-def _lambda1_closed_subsets(power: StructuredSpace):
-    """The nonempty λ1-closed subsets of S̰ⁿ = power, all masks tested at once."""
-    # bit m of `ok` stands for mask m, and of col[i] (runs of 2**i zero bits,
-    # then 2**i one bits) for bit i of m
-    full = (1 << (1 << power.size)) - 1
-    col = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(power.size)]
-    ok = full
-    for i, j, k in power.op_triples(LAMBDA1):
-        ok &= ~(col[i] & col[j]) | col[k]
-    for mask in range(1, 1 << power.size):
-        if ok >> mask & 1:
-            yield tuple(p for i, p in enumerate(power.carrier) if mask >> i & 1)
-
-
 def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
     """One search per power n over the partial maps of S̰ⁿ = (Sⁿ; λ1): all
     but the empty map are λ1-preserving maps on nonempty λ1-closed subsets."""
@@ -353,7 +339,8 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
         leaves.remove(_ABSENT * power.size)  # the empty map, on the empty subset
         present = [m.translate(_PRESENT) for m in leaves]
         domain = {p: tuple(compress(power.carrier, p)) for p in set(present)}
-        closed = {subset: r for r, subset in enumerate(_lambda1_closed_subsets(power))}
+        closed = {tuple(compress(power.carrier, _flags(mask, power.size))): r
+                  for r, mask in enumerate(closed_sets(power.size, power.op_triples(LAMBDA1))) if mask}
         found = set(domain.values())
         substructures += len(found)
         maps_checked += len(leaves)

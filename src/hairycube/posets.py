@@ -22,7 +22,8 @@ Costs, for N elements whose masks are `width` bits wide:
 - join-irreducibles take N lookups in the set of the N down rows and peel
   no covers (16 of the 775 elements of the 3-ary hom-set lattice);
 - `induced` on K indices walks at most K*K bits: it masks their rows first;
-- `downset_masks` stops once it holds more than `DOWNSET_CAP` downsets.
+- `downset_masks` stops once it holds more than `DOWNSET_CAP` downsets;
+- `closed_sets` closes at most `size` candidates per set it lists.
 """
 
 from __future__ import annotations
@@ -50,6 +51,29 @@ def _bits(mask: int):
 def _flags(bits: int, count: int) -> bytes:
     """One byte per bit of the first count: bit m of bits as 0 or 1."""
     return format(bits, f"0{count}b").encode()[::-1].translate(_FLAG_BYTES)
+
+
+def closed_sets(size: int, triples: Iterable[tuple[int, int, int]], start: int = 0):
+    """Every subset of range(size) that holds start and is closed under the
+    triples (i and j in puts k in), as index bit masks in ascending order,
+    the closure of start first: NextClosure (Ganter & Wille)."""
+    partners = [[] for _ in range(size)]  # (bit of j, bit of k) per triple (i, j, k) or (j, i, k)
+    for i, j, k in triples:
+        partners[i].append((1 << j, 1 << k))
+        partners[j].append((1 << i, 1 << k))
+
+    def close(mask: int) -> int:
+        new = mask  # each round reads only the triples of the indices the last one added
+        while new := sum({k for i in _bits(new) for j, k in partners[i] if mask & j}) & ~mask:
+            mask |= new
+        return mask
+
+    closed = close(start)
+    while closed is not None:  # the next turns on the least bit i it can, keeping the bits above i
+        yield closed
+        candidates = ((-2 << i, close(closed & -2 << i | 1 << i | start))
+                      for i in range(size) if not closed >> i & 1)
+        closed = next((c for above, c in candidates if c & above == closed & above), None)
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:

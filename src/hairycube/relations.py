@@ -2,9 +2,9 @@
 
 A binary relation is a 9-bit mask over the canonical pair order.  A subset
 of S^k is a subuniverse when it contains the constant tuples and is closed
-under the componentwise fundamental operations (meet, join and the derived
-bar; bar closure is what separates e.g. r3 from its meet/join closure
-r3 u {(h,1)}).
+under componentwise meet, join and the derived bar (bar closure separates r3
+from its meet/join closure r3 u {(h,1)}); `posets.closed_sets` decides and
+lists them on one table of these operations on S^k as index triples.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .core import (
     Frozen,
     all_tuples,
     order_masks,
+    tuple_index,
     _constant_masks,
 )
-from .posets import FinitePoset
+from .posets import FinitePoset, closed_sets
 
 PAIRS: tuple[tuple[Element, Element], ...] = all_tuples(2)
 
@@ -123,10 +124,9 @@ R3 = BinaryRelation.from_pairs(
 
 def relation(i: int) -> BinaryRelation:
     """The generating relations r1, r2, r3 by index."""
-    try:
-        return (R1, R2, R3)[i - 1]
-    except IndexError:
-        raise ValueError(f"relation index must be 1, 2 or 3, got {i}") from None
+    if not 1 <= i <= 3:  # a tuple index below 1 would wrap round to r3, r2, r1
+        raise ValueError(f"relation index must be 1, 2 or 3, got {i}")
+    return (R1, R2, R3)[i - 1]
 
 
 # Module names only because perfbench/spans.py wraps them; they go with ROADMAP item 1b.
@@ -137,39 +137,38 @@ intersect = BinaryRelation.intersect
 SubsetLike = Union[BinaryRelation, Iterable[tuple[Element, ...]]]
 
 
+@lru_cache(maxsize=None)
+def _algebra(k: int) -> tuple[int, tuple[tuple[int, int, int], ...], int]:
+    """S^k as `closed_sets` reads it: its size, meet, join and bar as triples of
+    canonical indices (bar's with j = i), and the constants' index mask."""
+    full = (1 << k) - 1
+    masks = order_masks(bytes(chain.from_iterable(all_tuples(k))), k)
+    index = {a: i for i, a in enumerate(masks)}
+    # on order masks meet and join are & and |; bar sets ge_h, and ge_1 where the point is not 1
+    ops = [(i, j, index[c]) for i, a in enumerate(masks)
+           for j, b in enumerate(masks[i:], i) for c in (a & b, a | b)]
+    ops += [(i, i, index[full << k | full & ~a]) for i, a in enumerate(masks)]
+    return len(masks), tuple(ops), sum(1 << index[c] for c in _constant_masks(k))
+
+
 def is_subuniverse(subset: SubsetLike) -> bool:
     """Whether the subset of S^k carries a subalgebra, k the width of its
-    tuples (2 for a BinaryRelation) and at most 3.
-
-    Requires the constant tuples and closure under componentwise meet,
-    join and bar, tested on the points' `order_masks`: meet and join are
-    `&` and `|`, and bar sets ge_h everywhere and ge_1 where the point is
-    not 1.
-    """
-    tuples = frozenset(map(tuple, subset))
+    tuples (2 for a BinaryRelation) and at most 3: whether it is the least
+    subuniverse that holds it."""
+    tuples = frozenset(tuple(map(Element, t)) for t in subset)  # ValueError off 0, h, 1
     widths = set(map(len, tuples))
     if len(widths) > 1 or not widths <= {1, 2, 3}:
         raise ValueError(f"k must be 1, 2 or 3 and shared by the tuples, got {sorted(widths)}")
-    if not tuples:
-        return False  # an empty subset lacks the constants at any k
-    k = widths.pop()
-    full = (1 << k) - 1
-    masks = set(order_masks(bytes(chain.from_iterable(tuples)), k))
-    return masks.issuperset(_constant_masks(k)) and all(
-        masks.issuperset([full << k | full & ~a] + [a & b for b in masks] + [a | b for b in masks])
-        for a in masks)
+    mask = sum(1 << tuple_index(t) for t in tuples)
+    size, ops, constants = _algebra(max(widths, default=1))  # the empty subset lacks the constants
+    return next(closed_sets(size, ops, mask | constants)) == mask
 
 
 @lru_cache(maxsize=None)
 def enumerate_subalgebras() -> FinitePoset:
-    """Brute force over all 2^9 subsets of S^2, keeping the subuniverses;
+    """The subuniverses of S^2 (a pair's canonical index is its relation bit);
     the inclusion lattice lists them by (size, mask)."""
-    found = []
-    for mask in range(1 << 9):
-        rel = BinaryRelation(mask)
-        if DIAGONAL.issubset(rel) and is_subuniverse(rel):
-            found.append(rel)
-    found.sort(key=lambda r: (len(r), r.mask))
+    found = sorted(map(BinaryRelation, closed_sets(*_algebra(2))), key=lambda r: (len(r), r.mask))
     return FinitePoset.from_masks(found, [r.mask for r in found])
 
 
@@ -219,12 +218,7 @@ def meet_irreducible_congruences() -> tuple[BinaryRelation, ...]:
 
 def subuniverses_of_carrier() -> tuple[frozenset[Element], ...]:
     """Subuniverses of S itself.  The constants force the whole carrier."""
-    found = []
-    for mask in range(1, 1 << 3):
-        subset = frozenset(e for i, e in enumerate(ELEMENTS) if mask >> i & 1)
-        if is_subuniverse([(e,) for e in subset]):
-            found.append(subset)
-    return tuple(found)
+    return tuple(frozenset(e for e in ELEMENTS if mask >> e & 1) for mask in closed_sets(*_algebra(1)))
 
 
 def irreducibility_index() -> int:

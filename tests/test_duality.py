@@ -51,6 +51,7 @@ from hairycube.homsets import (
     enumerate_homs_bruteforce,
     preserves_relation,
 )
+from hairycube.posets import closed_sets
 from hairycube.relations import (
     DIAGONAL,
     FULL,
@@ -482,7 +483,10 @@ def _closed_subsets_mask_by_mask(n):
 
 @pytest.mark.parametrize("n, count", [(1, 6), (2, 101)])
 def test_lambda1_closed_subsets_match_the_mask_by_mask_test(n, count):
-    subsets = list(duality._lambda1_closed_subsets(StructuredSpace.power(n, (), (LAMBDA1,))))
+    power = StructuredSpace.power(n, (), (LAMBDA1,))
+    masks = list(closed_sets(power.size, power.op_triples(LAMBDA1)))
+    assert masks[0] == 0  # the empty subset, which entailment_lambda1 leaves out
+    subsets = [tuple(p for i, p in enumerate(power.carrier) if m >> i & 1) for m in masks[1:]]
     assert subsets == list(_closed_subsets_mask_by_mask(n))
     assert len(subsets) == count
 
@@ -494,7 +498,7 @@ def test_entailment_names_each_violation(monkeypatch):
     expected = []
     for n in (1, 2):
         power = StructuredSpace.power(n, (), (LAMBDA1,))
-        for subset in duality._lambda1_closed_subsets(power):
+        for subset in _closed_subsets_mask_by_mask(n):
             space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
             for values in enumerate_homs_bruteforce(space):
                 expected += [(n, subset, values, name)
@@ -517,7 +521,7 @@ def test_partial_search_equals_one_search_per_closed_subset(n):
         domain = tuple(p for p, c in zip(power.carrier, m) if c != 3)
         by_domain.setdefault(domain, []).append(m.replace(b"\3", b""))
     assert by_domain.pop(()) == [b""]
-    closed = list(duality._lambda1_closed_subsets(power))
+    closed = list(_closed_subsets_mask_by_mask(n))
     assert set(by_domain) == set(closed)
     for subset in closed:
         space = StructuredSpace.from_points(subset, (), (LAMBDA1,))
@@ -547,12 +551,10 @@ def test_entailment_compiles_each_power_once(monkeypatch):
 
 
 def test_entailment_fails_when_the_domains_are_not_the_closed_subsets(monkeypatch):
-    """The closed subsets' bit-parallel count is a second route: a missing
-    subset fails the report, and the substructures are still the domains
-    the search found."""
-    closed_subsets = duality._lambda1_closed_subsets
-    monkeypatch.setattr(duality, "_lambda1_closed_subsets",
-                        lambda power: list(closed_subsets(power))[1:])
+    """The closed subsets that `closed_sets` lists are a second route: a
+    missing subset fails the report, and the substructures are still the
+    domains the search found."""
+    monkeypatch.setattr(duality, "closed_sets", lambda *args: list(closed_sets(*args))[:-1])
     report = entailment_lambda1(2)
     assert not report.passed
     assert report.violations == ((1, 6, 5, "domains"), (2, 101, 100, "domains"))

@@ -383,3 +383,32 @@ def test_lattice_from_masks_is_a_lattice():
     assert lat.elements[least_upper_bound(lat, 1, 2)] == "t"
     assert lat.elements[greatest_lower_bound(lat, 1, 2)] == "0"
     assert lat.join_irreducible_indices() == (1, 2)
+
+
+def _closure(triples, mask):
+    """The least superset of mask closed under the triples, by rounds over all of them."""
+    while True:
+        more = mask
+        for i, j, k in triples:
+            if mask >> i & mask >> j & 1:
+                more |= 1 << k
+        if more == mask:
+            return mask
+        mask = more
+
+
+@st.composite
+def closure_systems(draw):
+    size = draw(st.integers(0, 10))
+    index = st.integers(0, max(size - 1, 0))
+    triples = draw(st.lists(st.tuples(index, index, index), max_size=30)) if size else []
+    return size, triples, draw(st.integers(0, (1 << size) - 1))
+
+
+@given(closure_systems())
+def test_closed_sets_are_the_brute_force_filter_in_mask_order(case):
+    size, triples, start = case
+    listed = list(posets.closed_sets(size, triples, start))
+    assert listed == [m for m in range(1 << size)
+                      if m & start == start and _closure(triples, m) == m]
+    assert listed[0] == _closure(triples, start)

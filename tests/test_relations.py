@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hairycube.core import ELEMENTS, H, ONE, ZERO, all_tuples, tuple_bar, tuple_join, tuple_meet
-from hairycube.posets import FinitePoset
+from hairycube import relations
+from hairycube.posets import FinitePoset, closed_sets
 from hairycube.relations import (
     DIAGONAL,
     FULL,
@@ -39,8 +40,9 @@ def test_generating_relations_pair_sets():
         (ZERO, ZERO), (ZERO, H), (H, ZERO), (H, H), (ONE, ONE)
     }
     assert relation(1) == R1 and relation(2) == R2 and relation(3) == R3
-    with pytest.raises(ValueError):
-        relation(4)
+    for i in (0, -1, -2, 4):  # 0, -1, -2 once wrapped round to r3, r2, r1
+        with pytest.raises(ValueError, match="must be 1, 2 or 3"):
+            relation(i)
 
 
 def test_relation_basics():
@@ -85,6 +87,9 @@ def test_subuniverse_input_validation():
     assert is_subuniverse([(e,) for e in ELEMENTS])
     assert not is_subuniverse([(ZERO,), (ONE,)])  # h missing
     assert not is_subuniverse([])  # no constants
+    for bad in ([(5,)], [(ZERO, ZERO), (ONE, -1)], [(ZERO, 3)]):  # entries off S, in index range too
+        with pytest.raises(ValueError, match="not a valid Element"):
+            is_subuniverse(bad)
 
 
 def test_thirteen_subalgebras():
@@ -212,6 +217,32 @@ def test_plane_closure_matches_the_tuple_closure_on_closed_subsets_of_s3():
     for s in generated[:20]:
         for x in s - {(c,) * 3 for c in ELEMENTS}:
             assert is_subuniverse(s - {x}) == _tuple_is_subuniverse(s - {x})
+
+
+def test_subuniverses_equal_the_tuple_filter_over_all_subsets_of_s1_and_s2():
+    for k in (1, 2):
+        points = all_tuples(k)
+        brute = [m for m in range(1 << len(points)) if _tuple_is_subuniverse(_subset(points, m))]
+        assert list(closed_sets(*relations._algebra(k))) == brute
+    assert sorted(r.mask for r in enumerate_subalgebras().elements) == brute
+
+
+@pytest.fixture(scope="module")
+def subuniverses_of_s3():
+    return list(closed_sets(*relations._algebra(3)))
+
+
+def test_every_listed_subuniverse_of_s3_passes_the_tuple_closure(subuniverses_of_s3):
+    assert subuniverses_of_s3 == sorted(set(subuniverses_of_s3))
+    assert all(_tuple_is_subuniverse(_subset(all_tuples(3), m)) for m in subuniverses_of_s3)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 27) - 1))
+def test_drawn_subsets_of_s3_are_listed_iff_the_tuple_closure_holds(subuniverses_of_s3, mask):
+    listed = set(subuniverses_of_s3)
+    constants = sum(1 << 13 * c for c in range(3))
+    for m in (mask, mask | constants):
+        assert (m in listed) == _tuple_is_subuniverse(_subset(all_tuples(3), m))
 
 
 def test_congruences_equal_the_brute_force_over_all_masks():
