@@ -29,7 +29,7 @@ from .homsets import (
     clone_closure,
     enumerate_homs_bruteforce,
 )
-from .posets import FinitePoset, _flags, closed_sets
+from .posets import FinitePoset, _flags, _partners, closed_sets
 from .relations import (
     R1,
     R2,
@@ -339,8 +339,8 @@ def entailment_lambda1(max_power: int = 2) -> EntailmentReport:
         leaves.remove(_ABSENT * power.size)  # the empty map, on the empty subset
         present = [m.translate(_PRESENT) for m in leaves]
         domain = {p: tuple(compress(power.carrier, p)) for p in set(present)}
-        closed = {tuple(compress(power.carrier, _flags(mask, power.size))): r
-                  for r, mask in enumerate(closed_sets(power.size, power.op_triples(LAMBDA1))) if mask}
+        closed = {tuple(compress(power.carrier, _flags(mask, power.size))): r for r, mask
+                  in enumerate(closed_sets(_partners(power.size, power.op_triples(LAMBDA1)))) if mask}
         found = set(domain.values())
         substructures += len(found)
         maps_checked += len(leaves)

@@ -53,26 +53,33 @@ def _flags(bits: int, count: int) -> bytes:
     return format(bits, f"0{count}b").encode()[::-1].translate(_FLAG_BYTES)
 
 
-def closed_sets(size: int, triples: Iterable[tuple[int, int, int]], start: int = 0):
-    """Every subset of range(size) that holds start and is closed under the
-    triples (i and j in puts k in), as index bit masks in ascending order,
-    the closure of start first: NextClosure (Ganter & Wille)."""
-    partners = [[] for _ in range(size)]  # (bit of j, bit of k) per triple (i, j, k) or (j, i, k)
+def _partners(size: int, triples: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The triples (i, j, k) on range(size) as `closed_sets` reads them: per
+    index i, (bit of j, bit of k) for each triple (i, j, k) or (j, i, k)."""
+    found, bit = [[] for _ in range(size)], [1 << i for i in range(size)]  # bits shared, not remade
     for i, j, k in triples:
-        partners[i].append((1 << j, 1 << k))
-        partners[j].append((1 << i, 1 << k))
+        found[i].append((bit[j], bit[k]))
+        found[j].append((bit[i], bit[k]))
+    return tuple(map(tuple, found))  # immutable, as relations._algebra caches it
 
-    def close(mask: int) -> int:
+
+def closed_sets(partners: Sequence[Sequence[tuple[int, int]]], start: int = 0):
+    """Every subset of range(len(partners)) that holds start and is closed
+    under the `_partners` triples (i and j in puts k in), as index bit masks in
+    ascending order, the closure of start first: NextClosure (Ganter & Wille)."""
+
+    def close(mask: int, stop: int = 0) -> int:  # stopped once it holds a bit of stop
         new = mask  # each round reads only the triples of the indices the last one added
-        while new := sum({k for i in _bits(new) for j, k in partners[i] if mask & j}) & ~mask:
+        while not mask & stop and (new := sum({k for i in _bits(new) for j, k in partners[i]
+                                               if mask & j}) & ~mask):
             mask |= new
         return mask
 
     closed = close(start)
     while closed is not None:  # the next turns on the least bit i it can, keeping the bits above i
-        yield closed
-        candidates = ((-2 << i, close(closed & -2 << i | 1 << i | start))
-                      for i in range(size) if not closed >> i & 1)
+        yield closed  # a candidate that gains a bit above i outside closed has failed: stop it there
+        candidates = ((-2 << i, close(closed & -2 << i | 1 << i | start, -2 << i & ~closed))
+                      for i in range(len(partners)) if not closed >> i & 1)
         closed = next((c for above, c in candidates if c & above == closed & above), None)
 
 

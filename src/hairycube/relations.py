@@ -25,7 +25,7 @@ from .core import (
     tuple_index,
     _constant_masks,
 )
-from .posets import FinitePoset, closed_sets
+from .posets import FinitePoset, _partners, closed_sets
 
 PAIRS: tuple[tuple[Element, Element], ...] = all_tuples(2)
 
@@ -138,9 +138,9 @@ SubsetLike = Union[BinaryRelation, Iterable[tuple[Element, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _algebra(k: int) -> tuple[int, tuple[tuple[int, int, int], ...], int]:
-    """S^k as `closed_sets` reads it: its size, meet, join and bar as triples of
-    canonical indices (bar's with j = i), and the constants' index mask."""
+def _algebra(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """S^k as `closed_sets` reads it: meet, join and bar as the `_partners` of
+    triples of canonical indices (bar's with j = i), and the constants' index mask."""
     full = (1 << k) - 1
     masks = order_masks(bytes(chain.from_iterable(all_tuples(k))), k)
     index = {a: i for i, a in enumerate(masks)}
@@ -148,7 +148,7 @@ def _algebra(k: int) -> tuple[int, tuple[tuple[int, int, int], ...], int]:
     ops = [(i, j, index[c]) for i, a in enumerate(masks)
            for j, b in enumerate(masks[i:], i) for c in (a & b, a | b)]
     ops += [(i, i, index[full << k | full & ~a]) for i, a in enumerate(masks)]
-    return len(masks), tuple(ops), sum(1 << index[c] for c in _constant_masks(k))
+    return _partners(len(masks), ops), sum(1 << index[c] for c in _constant_masks(k))
 
 
 def is_subuniverse(subset: SubsetLike) -> bool:
@@ -160,8 +160,8 @@ def is_subuniverse(subset: SubsetLike) -> bool:
     if len(widths) > 1 or not widths <= {1, 2, 3}:
         raise ValueError(f"k must be 1, 2 or 3 and shared by the tuples, got {sorted(widths)}")
     mask = sum(1 << tuple_index(t) for t in tuples)
-    size, ops, constants = _algebra(max(widths, default=1))  # the empty subset lacks the constants
-    return next(closed_sets(size, ops, mask | constants)) == mask
+    partners, constants = _algebra(max(widths, default=1))  # the empty subset lacks the constants
+    return next(closed_sets(partners, mask | constants)) == mask
 
 
 @lru_cache(maxsize=None)

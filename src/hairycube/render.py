@@ -8,6 +8,8 @@ produce identical bytes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from typing import Iterator
 
 from .core import codes_text
 from .cube import chi_lattice, hairy_cube_recursive
@@ -22,13 +24,15 @@ from .relations import (
 SCHEMA = 1
 
 
-def json_chunks(payload: dict) -> list[str]:
+def json_chunks(payload: dict) -> Iterator[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"` in pieces of at
     most one string each, escaping each distinct string once (json's indenting
     encoder escapes it at every occurrence).  A string that needs no escape
     goes out as itself between two quote chunks, never copied, so the
-    document's table texts are the tables' own `str()` memos.  Non-string keys
-    raise TypeError.  `json` is imported here, so text requests do not load it."""
+    document's table texts are the tables' own `str()` memos.  The pieces are
+    made as they are read, in batches of 64 or more, so the document's whole
+    list of pieces is never held.  Non-string keys raise TypeError once read.
+    `json` is imported here, so text requests do not load it."""
     import json
 
     out, encode = [], json.encoder.encode_basestring
@@ -39,29 +43,32 @@ def json_chunks(payload: dict) -> list[str]:
         # each escape lengthens the text, so equal lengths mean none was made
         return ('"', text, '"') if len(escaped) == len(text) + 2 else (escaped,)
 
-    def emit(value, indent: str) -> None:
-        if isinstance(value, str):
-            out.extend(quoted(value))
-        elif isinstance(value, dict) and value:
-            inner, sep = indent + "  ", "{"
-            for key, item in value.items():
-                out.append(f"{sep}{inner}{''.join(quoted(key))}: ")
-                emit(item, inner)
-                sep = ","
-            out.append(indent + "}")
-        elif isinstance(value, (list, tuple)) and value:
-            inner, sep = indent + "  ", "["
-            for item in value:
-                out.append(sep + inner)
-                emit(item, inner)
-                sep = ","
-            out.append(indent + "]")
-        else:
-            out.append(json.dumps(value))
+    def emit(value, indent: str) -> Iterator[list[str]]:
+        """Append value's pieces to out; after an item of a dict or list that
+        leaves 64 pieces or more there, yield out and start a new one."""
+        nonlocal out
+        is_dict = isinstance(value, dict)
+        if not (value and (is_dict or isinstance(value, (list, tuple)))):
+            out.extend(quoted(value) if isinstance(value, str) else (json.dumps(value),))
+            return
+        inner, sep = indent + "  ", "{" if is_dict else "["
+        for key, item in value.items() if is_dict else enumerate(value):
+            out.append(f"{sep}{inner}{''.join(quoted(key))}: " if is_dict else sep + inner)
+            if isinstance(item, str):  # inline, not a generator per string
+                out.extend(quoted(item))
+            else:
+                yield from emit(item, inner)
+            sep = ","
+            if len(out) >= 64:
+                yield out
+                out = []
+        out.append(indent + ("}" if is_dict else "]"))
 
-    emit(payload, "\n")
-    out.append("\n")
-    return out
+    def batches() -> Iterator[list[str]]:
+        yield from emit(payload, "\n")
+        yield [*out, "\n"]
+
+    return chain.from_iterable(batches())
 
 
 def dumps(payload: dict) -> str:

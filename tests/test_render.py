@@ -4,6 +4,8 @@ module they replace: byte for byte."""
 import argparse
 import io
 import json
+import tracemalloc
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 
 import pytest
@@ -72,13 +74,27 @@ def test_dumps_matches_json_on_edge_cases(value):
 
 def test_plain_strings_are_emitted_uncopied():
     plain, escaped = "0h1" * 729, 'say "∧"' * 100
-    chunks = json_chunks({"a": plain, "b": [plain, escaped], "c": escaped})
+    chunks = list(json_chunks({"a": plain, "b": [plain, escaped], "c": escaped}))
     assert sum(c is plain for c in chunks) == 2
     assert not any(c is escaped for c in chunks)
     # the cube's table texts leave as the tables' own str() memos
     payload = hairy_cube_payload(4)
     emitted = {id(c) for c in json_chunks(payload)}
     assert all(id(node["table"]) in emitted for node in payload["nodes"])
+
+
+def test_the_largest_document_streams_to_the_writer():
+    payload = hairy_cube_payload(7)
+    assert isinstance(json_chunks(payload), Iterator)
+    tracemalloc.start()
+    try:
+        _write_joined(lambda piece: None, json_chunks(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pieces reach the writer 64 at a time as they are made: a list of the
+    # document's 9,360 pieces, made before the first write, peaks near 600 KiB
+    assert peak < 384 * 1024
 
 
 # chunk texts with characters of one to four UTF-8 bytes, some longer than a
