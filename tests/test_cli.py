@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface and the scripts."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from hairycube.cli import _homs, main
+from hairycube.cli import _homs, _write, build_parser, main
 from hairycube.duality import VARIANTS, homs_for_variant
+from hairycube.render import RENDERABLES
+from hairycube.verify import SUITES
 
 from test_outputs_pinned import PINNED
 
@@ -256,6 +259,52 @@ def test_out_naming_a_file_is_an_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_an_error_while_writing_a_file_leaves_no_file(tmp_path):
+    """The document is made as it is written: a failure part way leaves
+    neither the named file nor the temporary one it is written under."""
+    args = argparse.Namespace(format="json", out=tmp_path)
+    with pytest.raises(TypeError):
+        _write(args, "x", lambda: {"ok": [{3: 0}]}, None)
+    assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of what the parser prints (help on stdout, usage errors on stderr)
+# at a width of 80 columns: the choices are read only for the command named,
+# and the text must not show it.
+PARSER_TEXT = {
+    ("--help",): "97662ff465de5f6c845eb8f96a7275457021e86725c7c66c40b60526afb55cad",
+    ("homs", "--help"): "95d3f51bee42a40216051c052075e07973d3d742543ab1feb517607e67be8b12",
+    ("verify", "--help"): "d64afe468f9c65392856d38eeb85e5bf398d432c4a5ba5b62a9fa28ca4a45163",
+    ("render", "--help"): "4448d3ebb8331d6923c784d0f870e32a3475a72afb2d78e372380ec56a484c07",
+    ("verify", "nosuch"): "db421109ad239f81bc9eafece0af72513ba14553a71912889f29a19ef0c40f0f",
+    ("homs", "--variant", "nosuch"):
+        "2dff52439c5d3773f9053f1726c34be710a546bda6fef298d11ee208a70d03ae",
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXT, ids=" ".join)
+def test_parser_text_is_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    text = captured.out if exc.value.code == 0 else captured.err
+    assert exc.value.code == (0 if "--help" in argv else 2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSER_TEXT[argv]
+
+
+@pytest.mark.parametrize("command, dest, choices", [
+    ("homs", "variant", sorted(VARIANTS)),
+    ("verify", "suite", sorted(SUITES) + ["all"]),
+    ("render", "target", sorted(RENDERABLES)),
+])
+def test_each_command_offers_its_registry_as_choices(command, dest, choices):
+    parser = build_parser([command])
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (action,) = (a for a in commands.choices[command]._actions if a.dest == dest)
+    assert action.choices == choices
 
 
 def test_a_reader_that_leaves_early_is_not_an_error():

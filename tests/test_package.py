@@ -50,22 +50,59 @@ def test_the_library_reads_no_environment():
     assert readers == []
 
 
+def _run(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Every command pays for the modules `import hairycube.cli` loads, and
     `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`."""
-    code = "import sys, hairycube.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = _run("import sys, hairycube.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
+
+
+def test_importing_the_cli_registers_every_library_module():
+    """Tracing wraps functions found through `sys.modules` after
+    `import hairycube.cli`, so every module must be there, loaded or not."""
+    run = _run("import sys, hairycube.cli; print(sorted(m for m in sys.modules if m.startswith('hairycube')))")
+    modules = sorted("hairycube" if p.stem == "__init__" else f"hairycube.{p.stem}" for p in SOURCES)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", f"{modules}\n")
+
+
+BASE = {f"hairycube{m}" for m in ("", ".cli", ".core", ".posets", ".relations", ".homsets", ".cube")}
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (["render", "hairy-cube", "--n", "1"], BASE | {"hairycube.render"}),
+    (["homs", "--n", "1"], BASE | {"hairycube.render", "hairycube.duality"}),
+    (["verify", "barops"], BASE | {"hairycube.duality", "hairycube.verify"}),
+    (["verify", "barops", "--format", "json"],
+     BASE | {"hairycube.duality", "hairycube.verify", "hairycube.render"}),
+])
+def test_a_command_executes_only_the_modules_it_runs(argv, executed):
+    """A module registered but never used is still a lazy module, whose type
+    is not ModuleType: it was neither compiled nor run."""
+    code = ("import sys, types; from hairycube.cli import main; "
+            f"status = main({argv!r}); "
+            "print(status, sorted(name for name, m in sys.modules.items() "
+            "if name.startswith('hairycube') and type(m) is types.ModuleType), file=sys.stderr)")
+    run = _run(code)
+    assert (run.returncode, run.stderr) == (0, f"0 {sorted(executed)}\n")
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from hairycube import *", namespace)
+    assert set(hairycube.__all__) <= set(namespace)
+    assert set(hairycube.__all__) <= set(dir(hairycube))
 
 
 def test_text_requests_do_not_load_json():
     """`json` (whose decoder compiles regular expressions on import) is
     loaded only where JSON is written."""
-    code = ("import sys; from hairycube.cli import main; main(['homs', '--n', '1']); "
-            "print(sorted({'json', 'json.decoder'} & set(sys.modules)), file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = _run("import sys; from hairycube.cli import main; main(['homs', '--n', '1']); "
+               "print(sorted({'json', 'json.decoder'} & set(sys.modules)), file=sys.stderr)")
     assert (run.returncode, run.stderr) == (0, "[]\n")
     assert run.stdout.startswith("hom-set: arity 1")
 
