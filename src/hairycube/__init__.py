@@ -7,8 +7,8 @@ facts (optimality of the relation set, classification of partial
 operations, evaluation isomorphisms) by exhaustive search.
 
 Each library module is registered in `sys.modules` here but runs only when
-first used, so a command compiles only the modules it runs; the exported
-names below resolve through the module that defines them.
+first used.  Modules reach each other's cold code through these lazy objects
+(`from . import cube`), so a command compiles only the modules it runs.
 """
 
 import sys

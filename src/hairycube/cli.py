@@ -2,8 +2,8 @@
 
 Three subcommands: ``homs`` enumerates a hom-set, ``verify`` runs named
 check suites, ``render`` emits JSON or DOT for the catalogued objects.
-All output is deterministic.  Each command imports the library modules it
-runs when it runs, so ``render`` never loads ``duality`` or ``verify``.
+All output is deterministic.  The library modules are named through the
+package's lazy module objects, so a command compiles only the ones it runs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
+from . import duality, homsets, render, verify
 from .posets import CapExceededError
 
 
@@ -59,9 +60,7 @@ def _write(args: argparse.Namespace, stem: str, payload_fn, lines_fn, *fn_args) 
     under a temporary name and renamed when complete, so an error while the
     document is made leaves no file behind."""
     if args.format == "json":
-        from .render import json_chunks
-
-        chunks = json_chunks(payload_fn(*fn_args))
+        chunks = render.json_chunks(payload_fn(*fn_args))
     else:
         chunks = (line + "\n" for line in lines_fn(*fn_args))
     if args.out is None:
@@ -80,46 +79,36 @@ def _write(args: argparse.Namespace, stem: str, payload_fn, lines_fn, *fn_args) 
     print(target)
 
 
-def _homs(n: int, variant_name: str) -> tuple[HomSet, str]:
+def _homs(n: int, variant_name: str) -> tuple[homsets.HomSet, str]:
     """Search directly when the carrier fits the cap (n <= 2), otherwise
     take the term clone (n = 3) and keep the tables preserving the
     variant's structure, all 775 checked in one column-wise pass of
     `break_flags`."""
-    from .duality import VARIANTS, homs_for_variant, variant
-    from .homsets import DEFAULT_CARRIER_CAP, HomSet, break_flags, clone_closure
-
-    variant(variant_name)
-    if 3 ** n <= DEFAULT_CARRIER_CAP:
-        return homs_for_variant(n, variant_name), "search"
-    clone = clone_closure(n)
-    var = VARIANTS[variant_name]
+    var = duality.variant(variant_name)
+    if 3 ** n <= homsets.DEFAULT_CARRIER_CAP:
+        return duality.homs_for_variant(n, variant_name), "search"
+    clone = homsets.clone_closure(n)
     space = var.power_space(n)
-    flags = break_flags(clone.maps, space, var.relations, var.partial_ops)
+    flags = homsets.break_flags(clone.maps, space, var.relations, var.partial_ops)
     kept = tuple(m for m, bad in zip(clone.maps, flags) if not bad)
-    return HomSet(space, kept), "clone-filter"
+    return homsets.HomSet(space, kept), "clone-filter"
 
 
 def cmd_homs(args: argparse.Namespace) -> int:
-    from .render import homset_payload, homset_text
-
     homset, method = _homs(args.n, args.variant)
-    _write(args, f"homs_n{args.n}_{args.variant}", homset_payload, homset_text,
+    _write(args, f"homs_n{args.n}_{args.variant}", render.homset_payload, render.homset_text,
            homset, args.variant, method)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import report_lines, reports_payload, run_suite
-
-    reports = run_suite(args.suite, args.n)
-    _write(args, f"verify_{args.suite}", reports_payload, report_lines, reports)
+    reports = verify.run_suite(args.suite, args.n)
+    _write(args, f"verify_{args.suite}", verify.reports_payload, verify.report_lines, reports)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .render import RENDERABLES
-
-    payload_fn, dot_fn, needs_n = RENDERABLES[args.target]
+    payload_fn, dot_fn, needs_n = render.RENDERABLES[args.target]
     fn_args = (args.n,) if needs_n else ()
     stem = args.target.replace("-", "_") + (f"_n{args.n}" if needs_n else "")
     _write(args, stem, payload_fn, dot_fn, *fn_args)
@@ -137,43 +126,37 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    homs = sub.add_parser("homs", help="enumerate morphisms of a power of S")
-    homs.add_argument("--n", type=int, default=1, help="power of S (default 1)")
-    variant = homs.add_argument(
+    homs_cmd = sub.add_parser("homs", help="enumerate morphisms of a power of S")
+    homs_cmd.add_argument("--n", type=int, default=1, help="power of S (default 1)")
+    variant = homs_cmd.add_argument(
         "--variant", default="relational", help="structure on S (default relational)"
     )
-    homs.add_argument("--format", choices=("json", "text"), default="text")
-    homs.add_argument("--out", type=Path, default=None, help="directory to write into")
-    homs.set_defaults(fn=cmd_homs)
+    homs_cmd.add_argument("--format", choices=("json", "text"), default="text")
+    homs_cmd.add_argument("--out", type=Path, default=None, help="directory to write into")
+    homs_cmd.set_defaults(fn=cmd_homs)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    suite = verify.add_argument("suite", help="suite name or 'all'")
-    verify.add_argument(
+    verify_cmd = sub.add_parser("verify", help="run a named verification suite")
+    suite = verify_cmd.add_argument("suite", help="suite name or 'all'")
+    verify_cmd.add_argument(
         "--n", type=int, default=None, help="cap the power where a suite scales"
     )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--out", type=Path, default=None)
-    verify.set_defaults(fn=cmd_verify)
+    verify_cmd.add_argument("--format", choices=("text", "json"), default="text")
+    verify_cmd.add_argument("--out", type=Path, default=None)
+    verify_cmd.set_defaults(fn=cmd_verify)
 
-    render = sub.add_parser("render", help="emit JSON or DOT for an object")
-    target = render.add_argument("target")
-    render.add_argument("--n", type=int, default=2)
-    render.add_argument("--format", choices=("json", "dot"), default="json")
-    render.add_argument("--out", type=Path, default=None)
-    render.set_defaults(fn=cmd_render)
+    render_cmd = sub.add_parser("render", help="emit JSON or DOT for an object")
+    target = render_cmd.add_argument("target")
+    render_cmd.add_argument("--n", type=int, default=2)
+    render_cmd.add_argument("--format", choices=("json", "dot"), default="json")
+    render_cmd.add_argument("--out", type=Path, default=None)
+    render_cmd.set_defaults(fn=cmd_render)
 
     if named == "homs":
-        from .duality import VARIANTS
-
-        variant.choices = sorted(VARIANTS)
+        variant.choices = sorted(duality.VARIANTS)
     elif named == "verify":
-        from .verify import SUITES
-
-        suite.choices = sorted(SUITES) + ["all"]
+        suite.choices = sorted(verify.SUITES) + ["all"]
     elif named == "render":
-        from .render import RENDERABLES
-
-        target.choices = sorted(RENDERABLES)
+        target.choices = sorted(render.RENDERABLES)
     return parser
 
 

@@ -8,7 +8,8 @@ a power of S (`TritTable`) is stored as two bit planes over its canonical
 argument positions, so pointwise meet, join, bar and order are integer
 operations; the `tuple_*` helpers do the same on plain entry tuples.
 `order_masks` and `mask_codes` turn joined entry codes into both planes in
-one int and back, many tables or points at a time.
+one int and back, many tables or points at a time; `slice_first` and
+`assemble` cut a table along its first argument and glue it back.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class TritTable(Frozen):
     `str()` is memoised.  The memo is also filled where the text is known
     without decoding: `from_string` and `constant` keep the text they are
     built from, `meet_h` maps 1 to h in its table's memo, and
-    `homsets.assemble` joins its slices' memos, so the tables the hairy-cube
+    `assemble` joins its slices' memos, so the tables the hairy-cube
     glue builds never decode theirs.  Order is lexicographic on (arity, entries).
     Equality and hash read (arity, ge_h, ge_1) directly, being the hottest
     calls on tables (set and dict lookups)."""
@@ -327,3 +328,28 @@ class TritTable(Frozen):
     def _same_arity(self, other: "TritTable") -> None:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+
+
+def slice_first(table: TritTable, a: Element) -> TritTable:
+    """Fix the first argument of an n-ary table, leaving an (n-1)-ary one."""
+    if table.arity < 1:
+        raise ValueError("slicing needs at least one argument position")
+    block = 3 ** (table.arity - 1)
+    lo, mask = int(a) * block, (1 << block) - 1
+    return TritTable.from_planes(table.arity - 1, table.ge_h >> lo & mask, table.ge_1 >> lo & mask)
+
+
+def assemble(s0: TritTable, sh: TritTable, s1: TritTable) -> TritTable:
+    """Inverse of slicing: glue three (n-1)-ary tables along the first
+    argument.  When all three slices hold their text, the glued table's text
+    is theirs joined, so its `str()` decodes nothing."""
+    if not s0.arity == sh.arity == s1.arity:
+        raise ValueError("slices must share an arity")
+    block = 3 ** s0.arity
+    texts = (s0._text, sh._text, s1._text)
+    return TritTable.from_planes(
+        s0.arity + 1,
+        s0.ge_h | sh.ge_h << block | s1.ge_h << 2 * block,
+        s0.ge_1 | sh.ge_1 << block | s1.ge_1 << 2 * block,
+        None if None in texts else "".join(texts),
+    )

@@ -13,9 +13,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .core import ELEMENTS, Element, H, TritTable
-from .homsets import CapExceededError, assemble, clone_closure, slice_first
-from .posets import FinitePoset, _bits, _transpose
+from . import homsets
+from .core import ELEMENTS, Element, H, TritTable, assemble, slice_first
+from .posets import CapExceededError, FinitePoset, _bits, _transpose
 
 
 def join_irreducibles(lattice: FinitePoset) -> FinitePoset:
@@ -349,13 +349,13 @@ def pss_homeomorphism(candidate: PartiallyStoneSpaceFinite, n: int) -> PssResult
 
 def chi_lattice(n: int) -> FinitePoset:
     """The n-ary hom-set as a lattice of tables under the pointwise order."""
-    return clone_closure(n).lattice()
+    return homsets.clone_closure(n).lattice()
 
 
 def extracted_hairy_cube(n: int) -> FinitePoset:
     """`join_irreducibles(chi_lattice(n))`, read off the clone's order masks:
     only the join-irreducibles become tables."""
-    masks = clone_closure(n).order_masks()
+    masks = homsets.clone_closure(n).order_masks()
     ji = join_irreducibles(FinitePoset.from_masks(masks, masks))
     tables = [TritTable.from_order_mask(n, m) for m in ji.elements]
     return FinitePoset(tables, [ji.down_mask(i) for i in range(ji.n)])

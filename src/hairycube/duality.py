@@ -16,9 +16,9 @@ from itertools import chain, compress
 from operator import add
 from typing import NamedTuple
 
+from . import cube
 from .core import ELEMENTS, Element, H, ONE, TritTable, ZERO, all_tuples, order_masks, tuple_index
 from .core import _constant_masks
-from .cube import hairy_cube_recursive, join_irreducibles
 from .homsets import _ABSENT, _CODES, _PRESENT, _broken, _columns, _search
 from .homsets import (
     DEFAULT_CARRIER_CAP,
@@ -428,6 +428,5 @@ def persistence_check(n: int) -> bool:
     clone = clone_closure(n)
     if set(homs.maps) != set(clone.maps):
         return False
-    ji = join_irreducibles(homs.lattice())
-    cube = hairy_cube_recursive(n)
-    return set(ji.elements) == {e.table for e in cube.elements}
+    ji = cube.join_irreducibles(homs.lattice())
+    return set(ji.elements) == {e.table for e in cube.hairy_cube_recursive(n).elements}

@@ -11,17 +11,31 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
+from . import cube, relations
 from .core import codes_text
-from .cube import chi_lattice, hairy_cube_recursive
-from .homsets import HomSet
-from .posets import FinitePoset
-from .relations import (
-    canonical_name,
-    enumerate_congruences,
-    enumerate_subalgebras,
-)
 
 SCHEMA = 1
+
+
+# json's text for the characters it escapes under ensure_ascii=False (controls,
+# quote, backslash), for NaN and the infinities, and for its three constants
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(32)} | {
+    8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"}
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    """A value that is no string and no nonempty dict or list, as json writes it."""
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, (int, float)):
+        text = (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
+        return _FLOATS.get(text, text)
+    if isinstance(value, _CONTAINERS):
+        return "{}" if isinstance(value, dict) else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_chunks(payload: dict) -> Iterator[str]:
@@ -32,31 +46,47 @@ def json_chunks(payload: dict) -> Iterator[str]:
     document's table texts are the tables' own `str()` memos.  The pieces are
     made as they are read, in batches of 64 or more, so the document's whole
     list of pieces is never held.  Non-string keys raise TypeError once read.
-    `json` is imported here, so text requests do not load it."""
-    import json
-
-    out, encode = [], json.encoder.encode_basestring
+    No `json` is imported: the tables above are its text."""
+    out: list[str] = []
 
     @lru_cache(maxsize=None)
     def quoted(text: str) -> tuple[str, ...]:
-        escaped = encode(text)
-        # each escape lengthens the text, so equal lengths mean none was made
-        return ('"', text, '"') if len(escaped) == len(text) + 2 else (escaped,)
+        # str.isprintable raises TypeError on a key that is no string
+        if not (str.isprintable(text) and '"' not in text and "\\" not in text):
+            escaped = text.translate(_ESCAPES)
+            if len(escaped) > len(text):  # each escape lengthens the text
+                return (f'"{escaped}"',)
+        return ('"', text, '"')
+
+    def put(value, indent: str) -> bool:
+        """Append the pieces of a scalar or string, or of a dict or list of at most
+        64 of those, and return True; else append nothing and return False."""
+        if not (value and isinstance(value, _CONTAINERS)):
+            out.extend(quoted(value) if isinstance(value, str) else (_scalar(value),))
+            return True
+        if len(value) > 64:
+            return False
+        start, is_dict = len(out), isinstance(value, dict)
+        inner, sep = indent + "  ", "{" if is_dict else "["
+        for key, item in value.items() if is_dict else enumerate(value):
+            if item and isinstance(item, _CONTAINERS):
+                del out[start:]
+                return False
+            out.append(f"{sep}{inner}{''.join(quoted(key))}: " if is_dict else sep + inner)
+            out.extend(quoted(item) if isinstance(item, str) else (_scalar(item),))
+            sep = ","
+        out.append(indent + ("}" if is_dict else "]"))
+        return True
 
     def emit(value, indent: str) -> Iterator[list[str]]:
-        """Append value's pieces to out; after an item of a dict or list that
-        leaves 64 pieces or more there, yield out and start a new one."""
+        """Append the pieces of a dict or list that `put` refuses; after an item
+        that leaves 64 pieces or more in out, yield out and start a new one."""
         nonlocal out
         is_dict = isinstance(value, dict)
-        if not (value and (is_dict or isinstance(value, (list, tuple)))):
-            out.extend(quoted(value) if isinstance(value, str) else (json.dumps(value),))
-            return
         inner, sep = indent + "  ", "{" if is_dict else "["
         for key, item in value.items() if is_dict else enumerate(value):
             out.append(f"{sep}{inner}{''.join(quoted(key))}: " if is_dict else sep + inner)
-            if isinstance(item, str):  # inline, not a generator per string
-                out.extend(quoted(item))
-            else:
+            if not put(item, inner):
                 yield from emit(item, inner)
             sep = ","
             if len(out) >= 64:
@@ -65,7 +95,8 @@ def json_chunks(payload: dict) -> Iterator[str]:
         out.append(indent + ("}" if is_dict else "]"))
 
     def batches() -> Iterator[list[str]]:
-        yield from emit(payload, "\n")
+        if not put(payload, "\n"):
+            yield from emit(payload, "\n")
         yield [*out, "\n"]
 
     return chain.from_iterable(batches())
@@ -125,33 +156,33 @@ def _poset_payload(poset: FinitePoset, labels: list[str]) -> dict:
 
 
 def subalgebras_payload() -> dict:
-    lat = enumerate_subalgebras()
+    lat = relations.enumerate_subalgebras()
     return {
         "schema": SCHEMA,
         "object": "subalgebra-lattice",
         "count": len(lat.elements),
         "nodes": [
             {
-                "name": canonical_name(r),
+                "name": relations.canonical_name(r),
                 "size": len(r),
                 "pairs": [f"({a},{b})" for a, b in r.pairs()],
             }
             for r in lat.elements
         ],
         "covers": [
-            [canonical_name(a), canonical_name(b)] for a, b in lat.cover_pairs()
+            [relations.canonical_name(a), relations.canonical_name(b)] for a, b in lat.cover_pairs()
         ],
     }
 
 
 def subalgebras_dot() -> list[str]:
-    lat = enumerate_subalgebras()
-    return _poset_dot("subalgebras", lat, [canonical_name(r) for r in lat.elements])
+    lat = relations.enumerate_subalgebras()
+    return _poset_dot("subalgebras", lat, [relations.canonical_name(r) for r in lat.elements])
 
 
 def congruences_payload() -> dict:
-    lat = enumerate_congruences()
-    labels = [canonical_name(c) for c in lat.elements]
+    lat = relations.enumerate_congruences()
+    labels = [relations.canonical_name(c) for c in lat.elements]
     return {
         "schema": SCHEMA,
         "object": "congruence-lattice",
@@ -161,12 +192,12 @@ def congruences_payload() -> dict:
 
 
 def congruences_dot() -> list[str]:
-    lat = enumerate_congruences()
-    return _poset_dot("congruences", lat, [canonical_name(c) for c in lat.elements])
+    lat = relations.enumerate_congruences()
+    return _poset_dot("congruences", lat, [relations.canonical_name(c) for c in lat.elements])
 
 
 def chi_payload(n: int) -> dict:
-    lat = chi_lattice(n)
+    lat = cube.chi_lattice(n)
     ji = set(lat.join_irreducible_indices())
     labels = [str(t) for t in lat.elements]
     return {
@@ -180,36 +211,36 @@ def chi_payload(n: int) -> dict:
 
 
 def chi_dot(n: int) -> list[str]:
-    lat = chi_lattice(n)
+    lat = cube.chi_lattice(n)
     labels = [str(t) for t in lat.elements]
     return _poset_dot(f"hom_lattice_{n}", lat, labels, set(lat.join_irreducible_indices()))
 
 
 def hairy_cube_payload(n: int) -> dict:
-    cube = hairy_cube_recursive(n)
+    poset = cube.hairy_cube_recursive(n)
     return {
         "schema": SCHEMA,
         "object": "hairy-cube",
         "dimension": n,
-        "count": cube.n,
+        "count": poset.n,
         "nodes": [
             {
                 "table": str(e.table),
                 "label": e.label,
                 "kind": "base" if e.is_base else "hair",
             }
-            for e in cube.elements
+            for e in poset.elements
         ],
         "covers": [
-            [str(a.table), str(b.table)] for a, b in cube.cover_pairs()
+            [str(a.table), str(b.table)] for a, b in poset.cover_pairs()
         ],
     }
 
 
 def hairy_cube_dot(n: int) -> list[str]:
-    cube = hairy_cube_recursive(n)
-    base = {i for i, e in enumerate(cube.elements) if e.is_base}
-    return _poset_dot(f"hairy_cube_{n}", cube, [e.label for e in cube.elements], base)
+    poset = cube.hairy_cube_recursive(n)
+    base = {i for i, e in enumerate(poset.elements) if e.is_base}
+    return _poset_dot(f"hairy_cube_{n}", poset, [e.label for e in poset.elements], base)
 
 
 RENDERABLES = {

@@ -21,6 +21,7 @@ from .core import (
     nu_term,
     semiring_add,
     all_tuples,
+    assemble,
 )
 from .cube import (
     PartiallyStoneSpaceFinite,
@@ -53,7 +54,6 @@ from .duality import (
 )
 from .homsets import (
     StructuredSpace,
-    assemble,
     break_flags,
     clone_closure,
     lift,

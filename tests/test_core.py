@@ -15,6 +15,7 @@ from hairycube.core import (
     TritTable,
     ZERO,
     all_tuples,
+    assemble,
     bar,
     complement_upper,
     join,
@@ -26,13 +27,13 @@ from hairycube.core import (
     _constant_masks,
     codes_text,
     semiring_add,
+    slice_first,
     tuple_bar,
     tuple_index,
     tuple_join,
     tuple_meet,
 )
 from hairycube.cube import JIElement
-from hairycube.homsets import assemble, slice_first
 
 elements = st.sampled_from(ELEMENTS)
 

@@ -19,9 +19,11 @@ from hairycube.core import (
     TritTable,
     ZERO,
     all_tuples,
+    assemble,
     join,
     meet,
     planes,
+    slice_first,
     tuple_bar,
     tuple_join,
     tuple_meet,
@@ -32,14 +34,12 @@ from hairycube.homsets import (
     CapExceededError,
     HomSet,
     StructuredSpace,
-    assemble,
     break_flags,
     clone_closure,
     enumerate_homs_bruteforce,
     lift,
     preserves_partial_op,
     preserves_relation,
-    slice_first,
 )
 from hairycube.relations import FULL, R1, R2, R3, BinaryRelation, PartialOp
 

@@ -70,23 +70,31 @@ def test_importing_the_cli_registers_every_library_module():
     assert (run.returncode, run.stderr, run.stdout) == (0, "", f"{modules}\n")
 
 
-BASE = {f"hairycube{m}" for m in ("", ".cli", ".core", ".posets", ".relations", ".homsets", ".cube")}
+BASE = {f"hairycube{m}" for m in ("", ".cli", ".core", ".posets")}
+HOMS = BASE | {f"hairycube.{m}" for m in ("relations", "homsets", "duality", "render")}
+EVERY = HOMS | {"hairycube.cube", "hairycube.verify"}
 
 
 @pytest.mark.parametrize("argv, executed", [
-    (["render", "hairy-cube", "--n", "1"], BASE | {"hairycube.render"}),
-    (["homs", "--n", "1"], BASE | {"hairycube.render", "hairycube.duality"}),
-    (["verify", "barops"], BASE | {"hairycube.duality", "hairycube.verify"}),
-    (["verify", "barops", "--format", "json"],
-     BASE | {"hairycube.duality", "hairycube.verify", "hairycube.render"}),
+    # n = 3 glues the cube from its slices (n = 1 is the base case)
+    (["render", "hairy-cube", "--n", "3"], BASE | {"hairycube.cube", "hairycube.render"}),
+    (["homs", "--n", "1"], HOMS),
+    (["verify", "barops"], EVERY - {"hairycube.render"}),
+    (["verify", "barops", "--format", "json"], EVERY),
+    (["homs", "--n", "3"], HOMS),  # the clone-filter path
+    (["render", "chi", "--n", "2"], BASE | {f"hairycube.{m}" for m in (
+        "relations", "homsets", "cube", "render")}),
+    (["render", "subalgebras"], BASE | {"hairycube.relations", "hairycube.render"}),
 ])
 def test_a_command_executes_only_the_modules_it_runs(argv, executed):
     """A module registered but never used is still a lazy module, whose type
-    is not ModuleType: it was neither compiled nor run."""
+    is not ModuleType: it was neither compiled nor run.  No request loads
+    `json`, which would be listed too."""
     code = ("import sys, types; from hairycube.cli import main; "
             f"status = main({argv!r}); "
             "print(status, sorted(name for name, m in sys.modules.items() "
-            "if name.startswith('hairycube') and type(m) is types.ModuleType), file=sys.stderr)")
+            "if name.startswith(('hairycube', 'json')) and type(m) is types.ModuleType), "
+            "file=sys.stderr)")
     run = _run(code)
     assert (run.returncode, run.stderr) == (0, f"0 {sorted(executed)}\n")
 
@@ -100,8 +108,10 @@ def test_star_import_resolves_every_exported_name():
 
 def test_text_requests_do_not_load_json():
     """`json` (whose decoder compiles regular expressions on import) is
-    loaded only where JSON is written."""
+    loaded by no request: JSON is written by `render.json_chunks` alone."""
     run = _run("import sys; from hairycube.cli import main; main(['homs', '--n', '1']); "
+               "main(['render', 'hairy-cube', '--n', '3', '--format', 'json']); "
+               "main(['verify', 'barops', '--format', 'json']); "
                "print(sorted({'json', 'json.decoder'} & set(sys.modules)), file=sys.stderr)")
     assert (run.returncode, run.stderr) == (0, "[]\n")
     assert run.stdout.startswith("hom-set: arity 1")
@@ -117,6 +127,19 @@ def test_only_core_reads_the_plane_translations():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and names & {alias.name for alias in node.names}
         or isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert users == []
+
+
+def test_only_core_reads_the_table_text_memo():
+    """`TritTable._text` is core's memo: `assemble`, next to the class, glues
+    the memos of its slices, and every other module reads a table's text
+    through `str()`."""
+    users = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_text"
     ]
     assert users == []
 

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hairycube.cli import WRITE_BYTES, _write, _write_joined, main
+from hairycube.core import Element
 from hairycube.duality import VARIANTS, homs_for_variant
 from hairycube.posets import FinitePoset
 from hairycube.render import (
@@ -63,9 +64,12 @@ def test_dumps_matches_json_on_drawn_values(value):
     assert dumps(value) == "".join(chunks) == _emitted(value) == _json(value)
 
 
+# floats are written as json writes them, NaN and the infinities as its
+# literals, not refused: inline in a small list and streamed in a large one
 @pytest.mark.parametrize("value", [
     {}, [], (), {"a": [], "b": {}, "c": ()}, [[[]]], [{}], "", 'say "∧"\\\n',
     float("nan"), float("-inf"), -0.0, 1e300, 10 ** 30, True, None,
+    [0.1, 5e-324, 1e16, float("inf")], {"x": [{"y": float("nan")}, [-0.0] * 65]},
 ])
 def test_dumps_matches_json_on_edge_cases(value):
     chunks = json_chunks(value)
@@ -181,3 +185,37 @@ def test_dumps_refuses_keys_that_are_not_strings(key):
     # not, and no payload needs it
     with pytest.raises(TypeError):
         dumps({"ok": [{key: 0}]})
+
+
+# every character json escapes, and next to them those it does not: DEL,
+# NEL, the no-break space, the line and paragraph separators, lone
+# surrogates and astral characters
+ESCAPABLE = st.text(
+    st.characters(max_codepoint=0xA0)
+    | st.sampled_from('"\\\x85\u2028\u2029\ud800\udbff\udc00\udfff\U0001d400\U0010ffff'),
+    max_size=12,
+)
+# the literals and the ints json writes through int.__repr__, floats with NaN
+# and the infinities among them
+LITERALS = (
+    st.sampled_from([True, False, None, 0, -1, 2 ** 70, -(2 ** 70), Element.H])
+    | st.integers(max_value=-1)
+    | st.floats()
+)
+
+
+@given(st.recursive(
+    ESCAPABLE | LITERALS,
+    lambda inner: st.lists(inner, max_size=70) | st.dictionaries(ESCAPABLE, inner, max_size=4),
+    max_leaves=80,
+))
+def test_the_emitter_writes_what_json_writes(value):
+    """The emitter imports no json: its escapes and literals are its own."""
+    assert dumps(value) == "".join(json_chunks(value)) == _json(value)
+
+
+@pytest.mark.parametrize("value", [{1}, b"x", object(), 1j])
+def test_dumps_refuses_values_json_cannot_write(value):
+    for doc in (value, [value], {"x": [value, "y"]}):
+        with pytest.raises(TypeError):
+            dumps(doc)
